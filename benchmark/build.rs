@@ -1,0 +1,23 @@
+//! Records the compiler version and build profile for the run context.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=BENCH_RUSTC_VERSION={version}");
+    for (var, name) in [
+        ("PROFILE", "BENCH_PROFILE"),
+        ("OPT_LEVEL", "BENCH_OPT_LEVEL"),
+    ] {
+        let value = std::env::var(var).unwrap_or_else(|_| "unknown".to_string());
+        println!("cargo:rustc-env={name}={value}");
+    }
+    println!("cargo:rerun-if-changed=build.rs");
+}
