@@ -8,20 +8,11 @@
 use crate::analog::AnalogModel;
 use crate::linalg::{DMatrix, LuFactors};
 use crate::perf::PerfCounters;
-use sim_core::gmres::{gmres_solve, GmresOptions};
-use sim_core::ilu::{Ilu0, IluPattern};
-use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
-
-/// GMRES controls for the behavioural engine's Krylov-backed Newton
-/// solves (same ladder as the circuit engine: tight tolerance, modest
-/// budget, counted direct-LU fallback on non-convergence).
-const KRYLOV_AMS_GMRES: GmresOptions = GmresOptions {
-    restart: 30,
-    max_restarts: 10,
-    tol: 1e-12,
-};
 use std::fmt;
 use std::time::Instant;
+
+/// Relative perturbation for the finite-difference Jacobian.
+const FD_EPS: f64 = 1e-7;
 
 /// Discretisation method for the time derivative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,20 +33,6 @@ pub struct SolverOptions {
     pub max_newton: usize,
     /// Convergence tolerance on the residual ∞-norm.
     pub tol: f64,
-    /// Relative perturbation for finite-difference Jacobians.
-    pub fd_eps: f64,
-    /// Reuse the cached LU factorization when a freshly assembled Jacobian
-    /// is byte-identical to the last one factored. Bit-exact by
-    /// construction; disable to force a factorization per Newton iteration.
-    pub reuse_lu: bool,
-    /// Linear-solver backend. The finite-difference Jacobian is always
-    /// assembled densely; on the sparse path it is converted to CSC and
-    /// factored through the split symbolic/numeric LU, with the symbolic
-    /// analysis pinned across steps; on the Krylov path it is solved by
-    /// ILU(0)-preconditioned GMRES with a counted direct-LU fallback.
-    /// `Auto` decides once per solver from the first Jacobian's size and
-    /// fill. Defaults to the `UWB_AMS_SOLVER` environment override.
-    pub solver: SolverKind,
 }
 
 impl Default for SolverOptions {
@@ -65,9 +42,6 @@ impl Default for SolverOptions {
             max_newton: 50,
             // The paper runs Eldo/ADMS with EPS = 1e-6.
             tol: 1e-6,
-            fd_eps: 1e-7,
-            reuse_lu: true,
-            solver: SolverKind::from_env(),
         }
     }
 }
@@ -157,37 +131,9 @@ pub struct ImplicitSolver {
     /// Work counters (steps, Newton iterations, LU work, wall time) —
     /// the same [`PerfCounters`] type the circuit simulator threads.
     counters: PerfCounters,
-    /// Cached LU of the last factored Newton Jacobian.
+    /// LU factors of the current Newton Jacobian (storage reused across
+    /// iterations).
     lu: LuFactors,
-    /// Raw bytes of the last factored Jacobian, for the reuse compare.
-    jac_cached: Vec<f64>,
-    /// Whether the active backend's factors match `jac_cached`.
-    lu_valid: bool,
-    /// Sticky backend decision, made at the first factorization (so one
-    /// solver never mixes dense, sparse and Krylov factor caches).
-    backend: Option<AmsBackend>,
-    /// Sparse symbolic pattern + numeric factors (sparse backend, and the
-    /// Krylov tier's direct-LU fallback rung).
-    sparse: Option<(SymbolicLu, NumericLu<f64>)>,
-    /// Krylov-tier state: the CSC Jacobian GMRES multiplies by, its ILU
-    /// pattern and the current preconditioner (Krylov backend only).
-    krylov: Option<KrylovState>,
-}
-
-/// Which linear-solver tier an [`ImplicitSolver`] committed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AmsBackend {
-    Dense,
-    Sparse,
-    Krylov,
-}
-
-/// See [`ImplicitSolver::krylov`].
-#[derive(Debug, Clone)]
-struct KrylovState {
-    mat: SparseMatrix<f64>,
-    pattern: IluPattern,
-    precond: Ilu0<f64>,
 }
 
 impl ImplicitSolver {
@@ -292,7 +238,7 @@ impl ImplicitSolver {
             // Finite-difference Jacobian of G(x) = F(x, ẋ(x)).
             let mut jac = DMatrix::zeros(n, n);
             for j in 0..n {
-                let dx = self.options.fd_eps * (1.0 + x[j].abs());
+                let dx = FD_EPS * (1.0 + x[j].abs());
                 let saved = x[j];
                 x[j] = saved + dx;
                 derive(&x, &mut xdot);
@@ -302,147 +248,13 @@ impl ImplicitSolver {
                     jac[(i, j)] = (r_pert[i] - r[i]) / dx;
                 }
             }
-            // Factor (or reuse) the Jacobian and solve for the Newton update.
-            // When consecutive builds produce byte-identical Jacobians — e.g.
-            // a linear model replayed from the same state — the cached LU is
-            // reused and the update is bit-identical by construction.
-            if self.options.reuse_lu && self.lu_valid && jac.data() == &self.jac_cached[..] {
-                self.counters.lu_reuses += 1;
-            } else {
-                self.jac_cached.clear();
-                self.jac_cached.extend_from_slice(jac.data());
-                if self.backend.is_none() {
-                    let nnz = jac.data().iter().filter(|v| **v != 0.0).count() + n;
-                    self.backend = Some(if self.options.solver.picks_krylov(n, nnz) {
-                        AmsBackend::Krylov
-                    } else if self.options.solver.picks_sparse(n, nnz) {
-                        AmsBackend::Sparse
-                    } else {
-                        AmsBackend::Dense
-                    });
-                }
-                match self.backend.expect("decided above") {
-                    AmsBackend::Krylov => {
-                        // The Jacobian changed: refresh the preconditioner
-                        // (the operator is rebuilt regardless — GMRES must
-                        // multiply by the exact current matrix).
-                        let sjac = SparseMatrix::from_dense(&jac);
-                        let pattern = IluPattern::analyze(&sjac);
-                        self.counters.preconditioner_builds += 1;
-                        let precond = Ilu0::factor(&pattern, &sjac);
-                        self.krylov = Some(KrylovState {
-                            mat: sjac,
-                            pattern,
-                            precond,
-                        });
-                        self.lu_valid = true;
-                    }
-                    AmsBackend::Sparse => {
-                        self.counters.lu_factorizations += 1;
-                        let sjac = SparseMatrix::from_dense(&jac);
-                        let mut refactored = false;
-                        if let Some((sym, num)) = self.sparse.as_mut() {
-                            if sym.order() == n {
-                                match sym.refactor(&sjac, num) {
-                                    RefactorOutcome::Refactored => {
-                                        self.counters.numeric_refactors += 1;
-                                        refactored = true;
-                                    }
-                                    RefactorOutcome::Stale => {
-                                        self.counters.pattern_fallbacks += 1;
-                                    }
-                                }
-                            }
-                        }
-                        if !refactored {
-                            self.counters.symbolic_analyses += 1;
-                            match SymbolicLu::analyze(&sjac) {
-                                Ok(pair) => self.sparse = Some(pair),
-                                Err(_) => {
-                                    self.sparse = None;
-                                    self.lu_valid = false;
-                                    return Err(SolveError::SingularJacobian { t: t_new });
-                                }
-                            }
-                        }
-                        self.lu_valid = true;
-                    }
-                    AmsBackend::Dense => {
-                        self.counters.lu_factorizations += 1;
-                        match self.lu.factorize(&jac) {
-                            Ok(()) => self.lu_valid = true,
-                            Err(_) => {
-                                self.lu_valid = false;
-                                return Err(SolveError::SingularJacobian { t: t_new });
-                            }
-                        }
-                    }
-                }
+            // Factor the Jacobian and solve for the Newton update.
+            self.counters.lu_factorizations += 1;
+            if self.lu.factorize(&jac).is_err() {
+                return Err(SolveError::SingularJacobian { t: t_new });
             }
             let mut delta: Vec<f64> = r.iter().map(|v| -v).collect();
-            match self.backend {
-                Some(AmsBackend::Krylov) => {
-                    let ks = match self.krylov.as_ref() {
-                        Some(ks) => ks,
-                        None => return Err(SolveError::SingularJacobian { t: t_new }),
-                    };
-                    let rhs = delta.clone();
-                    // Newton corrections start at zero by construction.
-                    for d in delta.iter_mut() {
-                        *d = 0.0;
-                    }
-                    let out = gmres_solve(
-                        &ks.mat,
-                        &ks.pattern,
-                        &ks.precond,
-                        &rhs,
-                        &mut delta,
-                        &KRYLOV_AMS_GMRES,
-                    );
-                    self.counters.krylov_iterations += out.iterations;
-                    self.counters.krylov_restarts += out.restarts;
-                    if !out.converged {
-                        // Counted rescue rung: demote to the direct sparse
-                        // LU on the same CSC Jacobian.
-                        self.counters.krylov_fallbacks += 1;
-                        self.counters.lu_factorizations += 1;
-                        let mut refactored = false;
-                        if let Some((sym, num)) = self.sparse.as_mut() {
-                            if sym.order() == n {
-                                match sym.refactor(&ks.mat, num) {
-                                    RefactorOutcome::Refactored => {
-                                        self.counters.numeric_refactors += 1;
-                                        refactored = true;
-                                    }
-                                    RefactorOutcome::Stale => {
-                                        self.counters.pattern_fallbacks += 1;
-                                    }
-                                }
-                            }
-                        }
-                        if !refactored {
-                            self.counters.symbolic_analyses += 1;
-                            match SymbolicLu::analyze(&ks.mat) {
-                                Ok(pair) => self.sparse = Some(pair),
-                                Err(_) => {
-                                    self.sparse = None;
-                                    self.lu_valid = false;
-                                    return Err(SolveError::SingularJacobian { t: t_new });
-                                }
-                            }
-                        }
-                        delta.clear();
-                        delta.extend_from_slice(&rhs);
-                        let (sym, num) = self.sparse.as_ref().expect("factors built above");
-                        sym.solve(num, &mut delta);
-                    }
-                }
-                Some(AmsBackend::Sparse) => match self.sparse.as_ref() {
-                    Some((sym, num)) => sym.solve(num, &mut delta),
-                    None => return Err(SolveError::SingularJacobian { t: t_new }),
-                },
-                _ => self.lu.solve(&mut delta),
-            }
+            self.lu.solve(&mut delta);
             let mut step_norm = 0.0f64;
             for i in 0..n {
                 x[i] += delta[i];
@@ -786,134 +598,57 @@ mod tests {
         assert!(c.lu_factorizations + c.lu_reuses >= 1, "LU work recorded");
     }
 
-    /// A near-algebraic model that converges in one Newton update, so each
-    /// step builds exactly one Jacobian — and at identical state the builds
-    /// are byte-identical, exercising the LU-reuse fast path.
-    struct NearAlgebraic;
-    impl crate::analog::AnalogModel for NearAlgebraic {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn residual(&self, _t: f64, x: &[f64], xd: &[f64], u: &[f64], r: &mut [f64]) {
-            r[0] = u[0] - x[0] - 1e-9 * xd[0];
-        }
-    }
-
-    fn replay_steps(solver: &mut ImplicitSolver, n: usize) -> Vec<u64> {
-        let mut bits = Vec::with_capacity(n);
-        for _ in 0..n {
-            // `apply_break` replays the identical pre-step state, so the
-            // finite-difference Jacobian is rebuilt from the same bytes.
-            let mut st = TransientState::from_model(&NearAlgebraic);
-            st.apply_break(&[0.0]);
-            solver
-                .step(&NearAlgebraic, 0.0, 1e-9, &[2.0], &mut st)
-                .unwrap();
-            bits.push(st.x[0].to_bits());
-        }
-        bits
-    }
-
     #[test]
-    fn replayed_identical_steps_reuse_the_lu_bit_exactly() {
-        let mut fast = ImplicitSolver::default();
-        let fast_bits = replay_steps(&mut fast, 50);
-        assert_eq!(fast.counters().lu_factorizations, 1, "one factorization");
-        assert_eq!(fast.counters().lu_reuses, 49, "the rest reuse it");
-
-        let mut slow = ImplicitSolver::new(SolverOptions {
-            reuse_lu: false,
-            ..Default::default()
-        });
-        let slow_bits = replay_steps(&mut slow, 50);
-        assert_eq!(slow.counters().lu_factorizations, 50);
-        assert_eq!(slow.counters().lu_reuses, 0);
-
-        // The reuse path must be bit-identical to refactoring every time.
-        assert_eq!(fast_bits, slow_bits);
-    }
-
-    #[test]
-    fn sparse_backend_matches_dense_on_two_pole_model() {
-        let model = TwoPoleGatedModel::from_db_and_hz(21.8, 0.8e6, 5.9e9);
-        let run = |kind| {
-            let mut solver = ImplicitSolver::new(SolverOptions {
-                solver: kind,
-                ..Default::default()
-            });
-            let mut st = TransientState::from_model(&model);
-            solver
-                .run(
-                    &model,
-                    0.0,
-                    1e-9,
-                    500,
-                    &mut st,
-                    |t| vec![0.01 * (t * 1e7).sin(), 1.0, 0.0],
-                    |_, _| {},
-                )
-                .unwrap();
-            (st.x.clone(), *solver.counters())
-        };
-        let (dense_x, dense_c) = run(SolverKind::Dense);
-        let (sparse_x, sparse_c) = run(SolverKind::Sparse);
-        for (a, b) in dense_x.iter().zip(&sparse_x) {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                "dense {a} vs sparse {b}"
-            );
-        }
-        assert_eq!(dense_c.symbolic_analyses, 0);
-        assert!(sparse_c.symbolic_analyses >= 1, "{sparse_c}");
-        // The Jacobian pattern is fixed, so after the first analysis every
-        // new Jacobian refactors on the pinned pattern.
-        assert!(sparse_c.numeric_refactors >= 1, "{sparse_c}");
-        // Each non-reused factorization is either a pinned-pattern
-        // refactor or a fresh analysis (a fallback re-analyzes in the
-        // same pass).
-        assert_eq!(
-            sparse_c.lu_factorizations,
-            sparse_c.symbolic_analyses + sparse_c.numeric_refactors,
-            "{sparse_c}"
-        );
-
-        // Krylov tier: GMRES + ILU(0) over the same FD Jacobians, same
-        // trajectory within the parity band; every Jacobian change is a
-        // preconditioner build, and any stall is a counted direct-LU
-        // fallback rather than an error.
-        let (krylov_x, krylov_c) = run(SolverKind::Krylov);
-        for (a, b) in dense_x.iter().zip(&krylov_x) {
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                "dense {a} vs krylov {b}"
-            );
-        }
-        assert!(krylov_c.preconditioner_builds >= 1, "{krylov_c}");
-        assert!(krylov_c.krylov_iterations >= 1, "{krylov_c}");
-        assert_eq!(
-            krylov_c.lu_factorizations, krylov_c.krylov_fallbacks,
-            "direct factorizations only happen on the fallback rung: {krylov_c}"
-        );
-    }
-
-    #[test]
-    fn changed_jacobian_invalidates_the_reuse_cache() {
+    fn ideal_integrator_matches_the_closed_form_be_update() {
+        // Under BE the gated integrator's step is exactly x += k·u·h.
+        let (k, h) = (1e9, 5e-11);
+        let model = IdealGatedIntegrator::new(k);
         let mut solver = ImplicitSolver::default();
-        let mut st = TransientState::from_model(&NearAlgebraic);
-        solver
-            .step(&NearAlgebraic, 0.0, 1e-9, &[2.0], &mut st)
-            .unwrap();
-        let after_first = solver.counters().lu_factorizations;
-        // A different step width changes the discretised Jacobian
-        // (∂r/∂x = -1 - 1e-9/h), so the cached factors must not be trusted.
-        st.apply_break(&[0.0]);
-        solver
-            .step(&NearAlgebraic, 0.0, 2e-9, &[2.0], &mut st)
-            .unwrap();
-        assert!(
-            solver.counters().lu_factorizations > after_first,
-            "a changed Jacobian must force a fresh factorization"
-        );
-        assert_eq!(solver.counters().lu_reuses, 0);
+        let mut st = TransientState::from_model(&model);
+        let mut exact = 0.0;
+        let mut t = 0.0f64;
+        for _ in 0..2000 {
+            let vin = 0.05 + 0.04 * (t * 3e8).sin();
+            solver
+                .step(&model, t, h, &[vin, 1.0, 0.0], &mut st)
+                .unwrap();
+            exact += k * vin * h;
+            t += h;
+            assert!(
+                (st.x[0] - exact).abs() <= 1e-12 * exact.abs(),
+                "t = {t:e}: solver {} vs closed form {exact}",
+                st.x[0]
+            );
+        }
+    }
+
+    #[test]
+    fn two_pole_model_matches_the_exact_be_recurrence() {
+        // BE on the gated two-pole model is the linear recurrence
+        //   (1 + h·ω1)·q = h·ω1·vin + q_prev
+        //   (1 + h·ω2)·v = h·ω2·A·q + v_prev
+        // driven here by the 500-step sinusoid at 1 ns.
+        let model = TwoPoleGatedModel::from_db_and_hz(21.8, 0.8e6, 5.9e9);
+        let (a, w1, w2) = (model.gain, model.omega1, model.omega2);
+        let h = 1e-9;
+        let mut solver = ImplicitSolver::default();
+        let mut st = TransientState::from_model(&model);
+        let (mut q, mut v) = (0.0, 0.0);
+        let mut t = 0.0f64;
+        for _ in 0..500 {
+            let vin = 0.01 * (t * 1e7).sin();
+            solver
+                .step(&model, t, h, &[vin, 1.0, 0.0], &mut st)
+                .unwrap();
+            q = (h * w1 * vin + q) / (1.0 + h * w1);
+            v = (h * w2 * a * q + v) / (1.0 + h * w2);
+            t += h;
+            for (got, want) in st.x.iter().zip([q, v]) {
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs(),
+                    "t = {t:e}: solver {got} vs recurrence {want}"
+                );
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
-//! Performance harness: the parallel campaign engine and the LU fast
-//! paths of *both* engines, measured and written to a single merged
+//! Performance harness: the parallel campaign engine and the circuit
+//! engine's linear-solver tiers, measured and written to a single merged
 //! `results/BENCH_perf.json`.
 //!
-//! Three experiments:
+//! Experiments:
 //!
 //! 1. **Campaign scaling** — the Fig 6 BER campaign run serially and then
 //!    fanned over the worker pool ([`worker_threads`], overridable with
@@ -11,12 +11,8 @@
 //! 2. **Transient fast path (spice)** — a linear deck stepped with LU
 //!    reuse off and on. The reusing run must factorize exactly once after
 //!    DC and produce an identical final state.
-//! 3. **Replay fast path (ams-kernel)** — the paper's ideal
-//!    integrate-and-dump replayed from an identical `break` state, so the
-//!    finite-difference Jacobian rebuilds byte-identically each step and
-//!    the shared `sim-core` LU cache kicks in. Both engines report the
-//!    same [`PerfCounters`] type, so the phases land in one report.
-//!
+//! 3. **Adaptive vs fixed step** — the delayed-frame tiled I&D transient
+//!    on the fixed grid and under LTE step control.
 //! 4. **Sparse vs dense scaling** — transients of tiled N×I&D arrays on
 //!    the dense LU and on the sparse symbolic/numeric-split LU
 //!    (`UWB_AMS_SOLVER` forced per run), with matching waveforms
@@ -40,8 +36,6 @@
 //! bits/point; `--quick` shrinks everything to a smoke run (and skips
 //! the campaign-scaling phase).
 
-use ams_kernel::analog::IdealGatedIntegrator;
-use ams_kernel::solver::{ImplicitSolver, SolverOptions, TransientState};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use spice::circuit::{Circuit, NodeId, SourceWave};
@@ -178,50 +172,6 @@ fn transient_fast_path() -> Vec<PerfPhase> {
     ]
 }
 
-/// One AMS-engine replay run: `k` identical dump steps of the ideal
-/// integrate-and-dump, each restarted from the same `break` state; returns
-/// the per-step output bits plus the solver's counters.
-fn run_ams_replay(reuse: bool, k: usize) -> (Vec<u64>, PerfCounters) {
-    let model = IdealGatedIntegrator::new(1e9);
-    let mut solver = ImplicitSolver::new(SolverOptions {
-        reuse_lu: reuse,
-        ..Default::default()
-    });
-    let mut st = TransientState::from_model(&model);
-    let mut bits = Vec::with_capacity(k);
-    for _ in 0..k {
-        // Replay the identical pre-step state: the dump step (sel low) is
-        // the algebraic constraint vo = 0, solved with one Jacobian build.
-        st.apply_break(&[5.0]);
-        solver
-            .step(&model, 0.0, 50e-12, &[0.0, 0.0, 0.0], &mut st)
-            .expect("ams dump step");
-        bits.push(st.x[0].to_bits());
-    }
-    (bits, *solver.counters())
-}
-
-/// LU-reuse off/on on the AMS replay workload; returns the two phases.
-fn ams_replay_fast_path() -> Vec<PerfPhase> {
-    const K: usize = 1000;
-    let (bits_off, off) = run_ams_replay(false, K);
-    let (bits_on, on) = run_ams_replay(true, K);
-    assert_eq!(bits_off, bits_on, "reuse must not change solutions");
-    assert_eq!(
-        on.lu_factorizations, 1,
-        "replayed steps must factorize exactly once: {on}"
-    );
-    let speedup = off.wall.as_secs_f64() / on.wall.as_secs_f64();
-    println!("ams replay fast path (ideal integrate-and-dump, {K} replays):");
-    println!("  reuse off: {off}");
-    println!("  reuse on : {on}");
-    println!("  -> speedup {speedup:.2}x (bit-identical outputs)");
-    vec![
-        PerfPhase::from_counters("ams_replay_lu_reuse_off", off),
-        PerfPhase::from_counters("ams_replay_lu_reuse_on", on).with("speedup", speedup),
-    ]
-}
-
 /// Builds an `n_tiles`-instance Integrate & Dump array (each tile is the
 /// paper's 31-transistor core plus its drive sources); returns the
 /// circuit and one output probe per tile.
@@ -288,14 +238,12 @@ fn tiled_id_array_delayed(n_tiles: usize, delay: f64) -> (Circuit, Vec<NodeId>) 
 fn run_tiled_tran(
     n_tiles: usize,
     kind: SolverKind,
-    btf: bool,
     t_end: f64,
     dt: f64,
 ) -> (Vec<f64>, PerfCounters) {
     let (ckt, probes) = tiled_id_array(n_tiles);
     let mut opts = TranOptions::default();
     opts.newton.solver = kind;
-    opts.newton.btf = btf;
     let mut sim = TransientSimulator::new(ckt, opts).expect("tiled I&D dcop");
     let mut finals = vec![0.0; probes.len()];
     sim.run_until(t_end, dt, |s| {
@@ -414,8 +362,8 @@ fn sparse_vs_dense_scaling(quick: bool) -> Vec<PerfPhase> {
     println!("sparse vs dense transient (tiled I&D arrays, dt = {dt:.0e} s):");
     let mut phases = Vec::new();
     for &n in sizes {
-        let (vd, cd) = run_tiled_tran(n, SolverKind::Dense, false, t_end, dt);
-        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
+        let (vd, cd) = run_tiled_tran(n, SolverKind::Dense, t_end, dt);
+        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, t_end, dt);
         for (a, b) in vd.iter().zip(&vs) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -460,8 +408,8 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
     let mut phases = Vec::new();
     let largest = *sizes.last().expect("non-empty tier list");
     for &n in sizes {
-        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
-        let (vk, ck) = run_tiled_tran(n, SolverKind::Krylov, false, t_end, dt);
+        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, t_end, dt);
+        let (vk, ck) = run_tiled_tran(n, SolverKind::Krylov, t_end, dt);
         for (a, b) in vs.iter().zip(&vk) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -489,54 +437,6 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
             PerfPhase::from_counters(&format!("tran_krylov_{n}x_id"), ck)
                 .with("tiles", n as f64)
                 .with("speedup_vs_direct", speedup),
-        );
-    }
-    phases
-}
-
-/// Monolithic sparse LU vs the block-triangular-form path on tiled I&D
-/// arrays: one structural analysis per topology, independent per-block
-/// factors, matching waveforms. Disconnected tiles (plus vsource-driven
-/// gate decoupling) give the BTF extraction real blocks to find.
-fn btf_scaling(quick: bool) -> Vec<PerfPhase> {
-    let sizes: &[usize] = if quick { &[2] } else { &[2, 4, 8] };
-    let (t_end, dt) = if quick {
-        (0.5e-9, 10e-12)
-    } else {
-        (1e-9, 10e-12)
-    };
-    println!("monolithic sparse vs BTF transient (tiled I&D arrays, dt = {dt:.0e} s):");
-    let mut phases = Vec::new();
-    for &n in sizes {
-        let (vm, cm) = run_tiled_tran(n, SolverKind::Sparse, false, t_end, dt);
-        let (vb, cb) = run_tiled_tran(n, SolverKind::Sparse, true, t_end, dt);
-        for (a, b) in vm.iter().zip(&vb) {
-            assert!(
-                (a - b).abs() <= 1e-6 * a.abs().max(1.0),
-                "BTF and monolithic transients diverged at {n} tile(s): {a} vs {b}"
-            );
-        }
-        assert!(
-            cb.structural_analyses >= 1,
-            "BTF path must run a structural analysis: {cb}"
-        );
-        assert!(
-            cb.btf_blocks > cb.structural_analyses,
-            "{n} disconnected tiles must decompose into more than one block \
-             per analysis: {cb}"
-        );
-        assert_eq!(
-            cm.structural_analyses, 0,
-            "monolithic baseline must not analyze structure: {cm}"
-        );
-        let speedup = cm.wall.as_secs_f64() / cb.wall.as_secs_f64();
-        println!("  {n} tile(s): monolithic {cm}");
-        println!("  {n} tile(s): btf        {cb}");
-        println!("  -> btf speedup {speedup:.2}x (matching waveforms)");
-        phases.push(
-            PerfPhase::from_counters(&format!("tran_btf_{n}x_id"), cb)
-                .with("tiles", n as f64)
-                .with("speedup_vs_monolithic", speedup),
         );
     }
     phases
@@ -810,7 +710,7 @@ fn batched_campaign(quick: bool) -> Vec<PerfPhase> {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let full = std::env::var("UWB_AMS_BENCH").as_deref() == Ok("full");
-    println!("=== Performance: parallel campaigns + both engines' LU fast paths ===\n");
+    println!("=== Performance: parallel campaigns + the circuit engine's solver tiers ===\n");
     let mut report = PerfReport::new();
     if quick {
         println!("(--quick: skipping the fig6 campaign-scaling phase)\n");
@@ -822,16 +722,10 @@ fn main() {
     for phase in transient_fast_path() {
         report.push(phase);
     }
-    for phase in ams_replay_fast_path() {
-        report.push(phase);
-    }
     for phase in adaptive_vs_fixed(quick) {
         report.push(phase);
     }
     for phase in sparse_vs_dense_scaling(quick) {
-        report.push(phase);
-    }
-    for phase in btf_scaling(quick) {
         report.push(phase);
     }
     for phase in krylov_vs_direct_scaling(quick) {

@@ -14,22 +14,20 @@
 //! * [`sparse`] — CSC [`SparseMatrix`] assembled from triplet stamps,
 //!   fill-reducing ordering, and the split symbolic/numeric LU
 //!   ([`SymbolicLu`] / [`NumericLu`]) that large MNA systems route
-//!   through (selected per engine by [`SolverKind`]),
+//!   through (selected for the circuit engine by [`SolverKind`]),
 //! * [`batched`] — [`BatchedLu`], the SoA multi-lane numeric
 //!   refactor/solve over one pinned [`SymbolicLu`] pattern that
 //!   Monte-Carlo campaigns batch structure-identical points through
 //!   (width policy via [`BatchWidth`] / `UWB_AMS_BATCH`),
 //! * [`structure`] — value-free analysis of the sparse pattern:
 //!   Hopcroft–Karp maximum matching plus coarse Dulmage–Mendelsohn
-//!   classification ([`StructureReport`], feeding the static ERC layer)
-//!   and block-triangular-form extraction with per-block LU
-//!   ([`BtfForm`] / [`BtfLu`]),
+//!   classification ([`StructureReport`], feeding the static ERC layer),
 //! * [`ilu`] / [`gmres`] — the iterative tier: a zero-fill incomplete-LU
 //!   preconditioner ([`Ilu0`]) built once per pinned sparsity pattern
 //!   (with a Jacobi fallback on factorization breakdown) and restarted
 //!   GMRES(m) ([`gmres_solve`]) over the same [`SparseMatrix`], generic
-//!   over `f64`/`Complex64` via [`KrylovScalar`]; selected by
-//!   [`SolverKind::Krylov`] / `UWB_AMS_SOLVER=krylov`, with
+//!   over `f64`/`Complex64` via [`KrylovScalar`]; selected for the circuit
+//!   engine by [`SolverKind::Krylov`] / `UWB_AMS_SOLVER=krylov`, with
 //!   non-convergence demoting to the direct sparse LU (counted),
 //! * [`perf`] — [`PerfCounters`]: steps, Newton iterations, LU
 //!   factorizations vs cached reuses, wall time,
@@ -72,6 +70,6 @@ pub use linalg::{CMatrix, DMatrix, LuFactors, Matrix, NumericFault, SingularMatr
 pub use perf::PerfCounters;
 pub use rescue::{RescueAttempt, RescueReport, RescueRung};
 pub use sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
-pub use structure::{BtfForm, BtfLu, DmClass, StructureReport};
+pub use structure::{DmClass, StructureReport};
 pub use time::SimTime;
 pub use trace::Probe;

@@ -104,11 +104,11 @@ impl SparseScalar for Complex64 {
     }
 }
 
-/// Which linear-solver backend an engine should use.
+/// Which linear-solver backend the circuit engine (`spice`) should use.
 ///
 /// Resolved from the `UWB_AMS_SOLVER` environment variable (`auto`,
 /// `dense`, `sparse`, `krylov`; anything else falls back to `auto`) or
-/// set explicitly on the engines' option structs.
+/// set explicitly on the analyses' option structs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// Size/density heuristic: sparse for large, sparse-enough systems,

@@ -37,9 +37,8 @@ cargo run --release --quiet --example run_deck -- --self-check
 UWB_AMS_SOLVER=dense cargo test -q --release --test deck_corpus
 UWB_AMS_SOLVER=sparse cargo test -q --release --test deck_corpus
 
-echo "== structural analysis (DM/BTF gate + permuted-LU parity) =="
+echo "== structural analysis (DM gate) =="
 cargo test -q --release --test structural
-UWB_AMS_BTF=1 cargo run --release --quiet --example run_deck -- --self-check
 
 echo "== adaptive transient (order harness, breakpoint landing, off-parity) =="
 cargo test -q --release --test integration_order --test adaptive_breakpoints
@@ -54,6 +53,9 @@ UWB_AMS_SOLVER=krylov cargo run --release --quiet --example run_deck -- --self-c
 
 echo "== krylov guard (default auto path stays bit-exact on the direct tiers) =="
 cargo test -q --release --test golden_kernel --test sparse_parity
+
+echo "== benchmark smoke tests (workload checks, harness, tracer) =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== perf bench smoke (sparse scaling + MC warm start, --quick) =="
 cargo bench -p uwb-ams-bench --bench perf -- --quick
