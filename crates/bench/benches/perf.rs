@@ -15,7 +15,7 @@
 //!    on the fixed grid and under LTE step control.
 //! 4. **Sparse vs dense scaling** — transients of tiled N×I&D arrays on
 //!    the dense LU and on the sparse symbolic/numeric-split LU
-//!    (`UWB_AMS_SOLVER` forced per run), with matching waveforms
+//!    (`SolverKind` forced per run), with matching waveforms
 //!    asserted and the speedup recorded per size.
 //! 5. **Monte-Carlo warm start** — the I&D mismatch campaign with
 //!    warm-start chains on vs off; `warm_start_hits` and the Newton
@@ -233,18 +233,38 @@ fn tiled_id_array_delayed(n_tiles: usize, delay: f64) -> (Circuit, Vec<NodeId>) 
     (ckt, probes)
 }
 
-/// One transient of the tiled array on the chosen linear-solver backend;
-/// returns the final probe voltages and the counters.
+/// The tiled array, its probes, and its operating point's node voltages
+/// on the size-picked backend.
+type TiledStart = (Circuit, Vec<NodeId>, Vec<(NodeId, f64)>);
+
+/// Builds the `n_tiles` array and solves its operating point once. Every
+/// run of a size starts from these node voltages, so a phase compares the
+/// transient tiers alone: the DC Newton searches of two backends may stop
+/// at iterates a few 1e-6 apart inside their tolerance, which is not what
+/// the phases measure.
+fn tiled_start(n_tiles: usize) -> TiledStart {
+    let (ckt, probes) = tiled_id_array(n_tiles);
+    let sim = TransientSimulator::new(ckt.clone(), TranOptions::default()).expect("tiled I&D dcop");
+    let op = ckt.nodes().map(|(n, _)| (n, sim.voltage(n))).collect();
+    (ckt, probes, op)
+}
+
+/// One transient of the tiled array on the chosen linear-solver backend,
+/// from the shared start; returns the final probe voltages and the
+/// counters.
 fn run_tiled_tran(
-    n_tiles: usize,
+    start: &TiledStart,
     kind: SolverKind,
     t_end: f64,
     dt: f64,
 ) -> (Vec<f64>, PerfCounters) {
-    let (ckt, probes) = tiled_id_array(n_tiles);
+    let (ckt, probes, op) = start;
     let mut opts = TranOptions::default();
     opts.newton.solver = kind;
-    let mut sim = TransientSimulator::new(ckt, opts).expect("tiled I&D dcop");
+    let mut sim = TransientSimulator::new(ckt.clone(), opts).expect("tiled I&D dcop");
+    for &(node, v) in op {
+        sim.force_voltage(node, v);
+    }
     let mut finals = vec![0.0; probes.len()];
     sim.run_until(t_end, dt, |s| {
         for (i, p) in probes.iter().enumerate() {
@@ -362,8 +382,9 @@ fn sparse_vs_dense_scaling(quick: bool) -> Vec<PerfPhase> {
     println!("sparse vs dense transient (tiled I&D arrays, dt = {dt:.0e} s):");
     let mut phases = Vec::new();
     for &n in sizes {
-        let (vd, cd) = run_tiled_tran(n, SolverKind::Dense, t_end, dt);
-        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, t_end, dt);
+        let start = tiled_start(n);
+        let (vd, cd) = run_tiled_tran(&start, SolverKind::Dense, t_end, dt);
+        let (vs, cs) = run_tiled_tran(&start, SolverKind::Sparse, t_end, dt);
         for (a, b) in vd.iter().zip(&vs) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),
@@ -408,8 +429,9 @@ fn krylov_vs_direct_scaling(quick: bool) -> Vec<PerfPhase> {
     let mut phases = Vec::new();
     let largest = *sizes.last().expect("non-empty tier list");
     for &n in sizes {
-        let (vs, cs) = run_tiled_tran(n, SolverKind::Sparse, t_end, dt);
-        let (vk, ck) = run_tiled_tran(n, SolverKind::Krylov, t_end, dt);
+        let start = tiled_start(n);
+        let (vs, cs) = run_tiled_tran(&start, SolverKind::Sparse, t_end, dt);
+        let (vk, ck) = run_tiled_tran(&start, SolverKind::Krylov, t_end, dt);
         for (a, b) in vs.iter().zip(&vk) {
             assert!(
                 (a - b).abs() <= 1e-6 * a.abs().max(1.0),

@@ -27,7 +27,7 @@ pub struct CheckedDeckRun {
 }
 
 /// Lints `deck`, applies the ERC gate, and only then runs its analyses
-/// with the backend taken from the `UWB_AMS_SOLVER` environment override.
+/// with the backend picked from the system size ([`SolverKind::Auto`]).
 ///
 /// # Errors
 ///
@@ -38,7 +38,7 @@ pub fn run_deck_checked(
     cfg: &ErcConfig,
     artefact: &str,
 ) -> Result<CheckedDeckRun, FlowError> {
-    run_deck_checked_with(deck, cfg, artefact, SolverKind::from_env())
+    run_deck_checked_with(deck, cfg, artefact, SolverKind::Auto)
 }
 
 /// [`run_deck_checked`] with an explicit linear-solver backend — the hook

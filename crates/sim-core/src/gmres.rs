@@ -1,10 +1,9 @@
 //! Restarted GMRES(m) over the CSC [`SparseMatrix`], left-preconditioned
 //! by [`Ilu0`].
 //!
-//! This is the iterative rung of the solver ladder
-//! ([`SolverKind::Krylov`](crate::SolverKind::Krylov) /
-//! `UWB_AMS_SOLVER=krylov`): Arnoldi with modified Gram–Schmidt builds an
-//! orthonormal Krylov basis of the preconditioned operator `M⁻¹A`, Givens
+//! This is the iterative rung of the solver ladder (the Krylov arm of
+//! [`LinearSolver`](crate::LinearSolver)): Arnoldi with modified
+//! Gram–Schmidt builds an orthonormal Krylov basis of the preconditioned operator `M⁻¹A`, Givens
 //! rotations keep the small Hessenberg least-squares problem triangular so
 //! the residual norm is available every iteration for free, and an
 //! unconverged inner sweep restarts from the current iterate with a fresh

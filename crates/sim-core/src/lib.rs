@@ -7,14 +7,19 @@
 //! waveforms on a common time axis. This crate owns that substrate once,
 //! so every abstraction level of the top-down flow runs on the same kernel:
 //!
-//! * [`linalg`] — dense real ([`DMatrix`]) and complex ([`CMatrix`])
-//!   matrices, partial-pivot LU with reusable cached factors
+//! * [`linalg`] — one generic dense LU, real and complex: [`DMatrix`],
+//!   partial-pivot elimination with reusable cached factors
 //!   ([`LuFactors`]), and [`SingularMatrixError`] reporting where
 //!   elimination broke down,
 //! * [`sparse`] — CSC [`SparseMatrix`] assembled from triplet stamps,
 //!   fill-reducing ordering, and the split symbolic/numeric LU
 //!   ([`SymbolicLu`] / [`NumericLu`]) that large MNA systems route
-//!   through (selected for the circuit engine by [`SolverKind`]),
+//!   through,
+//! * [`linsolve`] — [`LinearSolver`], the one linear-solver dispatch of
+//!   the circuit engine's DC, transient and AC analyses: backend choice
+//!   ([`SolverKind`], by system size unless forced), assembly target,
+//!   factor/refactor/reuse caches, the Krylov fallback ladder, the NaN/Inf
+//!   guard and the work counters,
 //! * [`batched`] — [`BatchedLu`], the SoA multi-lane numeric
 //!   refactor/solve over one pinned [`SymbolicLu`] pattern that
 //!   Monte-Carlo campaigns batch structure-identical points through
@@ -26,9 +31,9 @@
 //!   preconditioner ([`Ilu0`]) built once per pinned sparsity pattern
 //!   (with a Jacobi fallback on factorization breakdown) and restarted
 //!   GMRES(m) ([`gmres_solve`]) over the same [`SparseMatrix`], generic
-//!   over `f64`/`Complex64` via [`KrylovScalar`]; selected for the circuit
-//!   engine by [`SolverKind::Krylov`] / `UWB_AMS_SOLVER=krylov`, with
-//!   non-convergence demoting to the direct sparse LU (counted),
+//!   over `f64`/`Complex64` via [`KrylovScalar`]; run by the
+//!   [`LinearSolver`] Krylov arm, where non-convergence demotes to the
+//!   direct sparse LU (counted),
 //! * [`perf`] — [`PerfCounters`]: steps, Newton iterations, LU
 //!   factorizations vs cached reuses, wall time,
 //! * [`time`] — [`SimTime`], the femtosecond-resolution instant/duration,
@@ -54,6 +59,7 @@ pub mod faultinject;
 pub mod gmres;
 pub mod ilu;
 pub mod linalg;
+pub mod linsolve;
 pub mod perf;
 pub mod rescue;
 pub mod sparse;
@@ -66,7 +72,8 @@ pub use diag::{Severity, SourceSpan};
 pub use faultinject::{waveform_checksum, FaultKind, FaultSchedule, FaultSpec};
 pub use gmres::{gmres_solve, GmresOptions, GmresOutcome, KrylovScalar};
 pub use ilu::{Ilu0, IluPattern, PrecondKind};
-pub use linalg::{CMatrix, DMatrix, LuFactors, Matrix, NumericFault, SingularMatrixError};
+pub use linalg::{DMatrix, LuFactors, Matrix, NumericFault, SingularMatrixError};
+pub use linsolve::{LinearSolver, SolveControls, SolveError};
 pub use perf::PerfCounters;
 pub use rescue::{RescueAttempt, RescueReport, RescueRung};
 pub use sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};

@@ -3,7 +3,8 @@
 //! Equation systems in this workspace are small — a handful of states per
 //! behavioural block, tens of MNA unknowns per netlist — so dense
 //! partial-pivot Gaussian elimination is simpler than and competitive with
-//! sparse machinery. One elimination implementation lives here; the
+//! sparse machinery. One elimination implementation lives here, generic
+//! over [`SparseScalar`] (`f64` by default, `Complex64` for AC); the
 //! behavioural solver, the MNA analyses and the reusable-factor fast path
 //! all call into it, so their solutions agree bit-for-bit.
 
@@ -12,49 +13,39 @@
 // (the golden-vector tests pin the exact bits).
 #![allow(clippy::needless_range_loop)]
 
-use num_complex::Complex64;
+use crate::sparse::{SparseScalar, PIVOT_MIN};
 
-/// Pivot magnitude below which elimination reports a singular matrix.
-const PIVOT_MIN: f64 = 1e-300;
-
-/// A dense row-major matrix of `f64`.
+/// A dense row-major matrix of `f64` (or, for AC, `Complex64`).
 ///
 /// Serves both the behavioural solver (rectangular shapes, index-pair
 /// access) and MNA assembly (square systems, accumulate-style
-/// [`add`](Self::add) stamps).
+/// [`add`](Self::add) stamps). Pivot selection follows the scalar's
+/// [`SparseScalar::mag`] convention, so the complex elimination is the
+/// real one with a squared-norm pivot test.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DMatrix {
+pub struct DMatrix<T = f64> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
 /// Alias emphasising the square MNA usage of [`DMatrix`] in the circuit
 /// simulator (`spice::linalg::Matrix`).
 pub type Matrix = DMatrix;
 
-impl DMatrix {
+impl<T: SparseScalar> DMatrix<T> {
     /// Creates a zero matrix of the given shape.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         DMatrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::ZERO; rows * cols],
         }
     }
 
     /// Creates a zero square matrix of order `n`.
     pub fn square(n: usize) -> Self {
         Self::zeros(n, n)
-    }
-
-    /// Creates an identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = DMatrix::square(n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Number of rows.
@@ -79,26 +70,51 @@ impl DMatrix {
 
     /// Adds `v` at `(r, c)` (the MNA "stamp" operation).
     #[inline]
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
+    pub fn add(&mut self, r: usize, c: usize, v: T) {
         self.data[r * self.cols + c] += v;
     }
 
     /// Reads entry `(r, c)`.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub fn get(&self, r: usize, c: usize) -> T {
         self.data[r * self.cols + c]
     }
 
     /// Resets all entries to zero, keeping the allocation.
     pub fn clear(&mut self) {
         for v in &mut self.data {
-            *v = 0.0;
+            *v = T::ZERO;
         }
     }
 
     /// Raw row-major storage (for factorization caching / comparison).
-    pub fn data(&self) -> &[f64] {
+    pub fn data(&self) -> &[T] {
         &self.data
+    }
+
+    /// Solves `self · x = b`, overwriting `b` with `x`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] when elimination finds no usable
+    /// pivot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or `b.len()` disagrees.
+    pub fn solve_in_place(&mut self, b: &mut [T]) -> Result<(), SingularMatrixError> {
+        solve_in_place(self, b)
+    }
+}
+
+impl DMatrix {
+    /// Creates an identity matrix of order `n`.
+    pub fn identity(n: usize) -> Self {
+        let mut m = DMatrix::square(n);
+        for i in 0..n {
+            m[(i, i)] = 1.0;
+        }
+        m
     }
 
     /// Matrix-vector product.
@@ -115,31 +131,17 @@ impl DMatrix {
         }
         out
     }
-
-    /// Solves `self · x = b`, overwriting `b` with `x`. Destroys `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] when elimination finds no usable
-    /// pivot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or `b.len()` disagrees.
-    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), SingularMatrixError> {
-        solve_in_place(self, b)
-    }
 }
 
-impl std::ops::Index<(usize, usize)> for DMatrix {
-    type Output = f64;
-    fn index(&self, (r, c): (usize, usize)) -> &f64 {
+impl<T> std::ops::Index<(usize, usize)> for DMatrix<T> {
+    type Output = T;
+    fn index(&self, (r, c): (usize, usize)) -> &T {
         &self.data[r * self.cols + c]
     }
 }
 
-impl std::ops::IndexMut<(usize, usize)> for DMatrix {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
+impl<T> std::ops::IndexMut<(usize, usize)> for DMatrix<T> {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
         &mut self.data[r * self.cols + c]
     }
 }
@@ -204,11 +206,11 @@ impl std::error::Error for NumericFault {}
 ///
 /// Returns a [`NumericFault`] with `stage = "matrix"` naming the first
 /// poisoned entry.
-pub fn check_finite_matrix(a: &DMatrix) -> Result<(), NumericFault> {
+pub fn check_finite_matrix<T: SparseScalar>(a: &DMatrix<T>) -> Result<(), NumericFault> {
     for (i, v) in a.data.iter().enumerate() {
-        if !v.is_finite() {
+        if !v.finite() {
             return Err(NumericFault {
-                nan: v.is_nan(),
+                nan: v.nan(),
                 row: i / a.cols,
                 col: Some(i % a.cols),
                 stage: "matrix",
@@ -224,11 +226,11 @@ pub fn check_finite_matrix(a: &DMatrix) -> Result<(), NumericFault> {
 ///
 /// Returns a [`NumericFault`] (with `col = None`) naming the first
 /// poisoned entry and the caller-supplied `stage` label.
-pub fn check_finite_vec(v: &[f64], stage: &'static str) -> Result<(), NumericFault> {
+pub fn check_finite_vec<T: SparseScalar>(v: &[T], stage: &'static str) -> Result<(), NumericFault> {
     for (i, x) in v.iter().enumerate() {
-        if !x.is_finite() {
+        if !x.finite() {
             return Err(NumericFault {
-                nan: x.is_nan(),
+                nan: x.nan(),
                 row: i,
                 col: None,
                 stage,
@@ -238,11 +240,10 @@ pub fn check_finite_vec(v: &[f64], stage: &'static str) -> Result<(), NumericFau
     Ok(())
 }
 
-/// Solves `A x = b` in place by Gaussian elimination with partial pivoting.
-///
-/// `a` is destroyed; `b` is overwritten with the solution. This is the one
-/// dense real elimination in the workspace — [`DMatrix::solve_in_place`]
-/// and the engines' Newton loops all route through it.
+/// Solves `A x = b` by partial-pivot LU, overwriting `b` with the solution
+/// (`a` is left as it was). A one-shot [`LuFactors`] factor + solve, so
+/// every dense solve in the workspace, real and complex, runs the same
+/// elimination — [`DMatrix::solve_in_place`] and [`solve`] route here.
 ///
 /// # Errors
 ///
@@ -252,92 +253,50 @@ pub fn check_finite_vec(v: &[f64], stage: &'static str) -> Result<(), NumericFau
 /// # Panics
 ///
 /// Panics if `a` is not square or `b.len() != a.rows()`.
-pub fn solve_in_place(a: &mut DMatrix, b: &mut [f64]) -> Result<(), SingularMatrixError> {
-    let n = a.rows;
-    assert_eq!(a.rows, a.cols, "solve requires a square matrix");
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    for col in 0..n {
-        // Partial pivot.
-        let mut piv = col;
-        let mut mag = a.data[col * n + col].abs();
-        for r in (col + 1)..n {
-            let m = a.data[r * n + col].abs();
-            if m > mag {
-                mag = m;
-                piv = r;
-            }
-        }
-        if mag < PIVOT_MIN {
-            return Err(SingularMatrixError {
-                order: n,
-                pivot: col,
-            });
-        }
-        if piv != col {
-            for c in 0..n {
-                a.data.swap(col * n + c, piv * n + c);
-            }
-            b.swap(col, piv);
-        }
-        let pivot = a.data[col * n + col];
-        for r in (col + 1)..n {
-            let f = a.data[r * n + col] / pivot;
-            if f == 0.0 {
-                continue;
-            }
-            for c in col..n {
-                let v = a.data[col * n + c];
-                a.data[r * n + c] -= f * v;
-            }
-            b[r] -= f * b[col];
-        }
-    }
-    // Back substitution.
-    for col in (0..n).rev() {
-        let mut acc = b[col];
-        for c in (col + 1)..n {
-            acc -= a.data[col * n + c] * b[c];
-        }
-        b[col] = acc / a.data[col * n + col];
-    }
+pub fn solve_in_place<T: SparseScalar>(
+    a: &mut DMatrix<T>,
+    b: &mut [T],
+) -> Result<(), SingularMatrixError> {
+    let mut lu = LuFactors::new(a.rows);
+    lu.factorize(a)?;
+    lu.solve(b);
     Ok(())
 }
 
-/// Solves `A x = b` without destroying the inputs.
+/// Solves `A x = b` into a fresh vector.
 ///
 /// # Errors
 ///
 /// See [`solve_in_place`].
-pub fn solve(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, SingularMatrixError> {
-    let mut a = a.clone();
+pub fn solve<T: SparseScalar>(a: &DMatrix<T>, b: &[T]) -> Result<Vec<T>, SingularMatrixError> {
     let mut x = b.to_vec();
-    solve_in_place(&mut a, &mut x)?;
+    solve_in_place(&mut a.clone(), &mut x)?;
     Ok(x)
 }
 
-/// A reusable partial-pivot LU factorization.
+/// A reusable partial-pivot LU factorization — the workspace's one dense
+/// elimination.
 ///
-/// Unlike [`DMatrix::solve_in_place`], which destroys the matrix per solve,
-/// this keeps the factors and pivot sequence so one factorization ( O(n³) )
+/// It keeps the factors and pivot sequence so one factorization ( O(n³) )
 /// can serve many right-hand sides ( O(n²) each ). Both engines' fast
 /// paths build on it: whenever an assembled Jacobian is bit-identical to
 /// the one last factored, the cached factors are reused and the solution
 /// is — by construction — identical to a fresh factorization.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LuFactors {
+pub struct LuFactors<T = f64> {
     n: usize,
     /// Packed L (unit diagonal, below) and U (on/above diagonal).
-    lu: Vec<f64>,
+    lu: Vec<T>,
     /// Row swap applied at each elimination column.
     piv: Vec<usize>,
 }
 
-impl LuFactors {
+impl<T: SparseScalar> LuFactors<T> {
     /// Empty factorization workspace for order-`n` systems.
     pub fn new(n: usize) -> Self {
         LuFactors {
             n,
-            lu: vec![0.0; n * n],
+            lu: vec![T::ZERO; n * n],
             piv: vec![0; n],
         }
     }
@@ -352,20 +311,20 @@ impl LuFactors {
     /// # Panics
     ///
     /// Panics if `a` is not square.
-    pub fn factorize(&mut self, a: &DMatrix) -> Result<(), SingularMatrixError> {
+    pub fn factorize(&mut self, a: &DMatrix<T>) -> Result<(), SingularMatrixError> {
         let n = a.order();
         if self.n != n {
             self.n = n;
-            self.lu = vec![0.0; n * n];
+            self.lu = vec![T::ZERO; n * n];
             self.piv = vec![0; n];
         }
         self.lu.copy_from_slice(&a.data);
         let lu = &mut self.lu;
         for col in 0..n {
             let mut piv = col;
-            let mut mag = lu[col * n + col].abs();
+            let mut mag = lu[col * n + col].mag();
             for r in (col + 1)..n {
-                let m = lu[r * n + col].abs();
+                let m = lu[r * n + col].mag();
                 if m > mag {
                     mag = m;
                     piv = r;
@@ -387,7 +346,7 @@ impl LuFactors {
             for r in (col + 1)..n {
                 let f = lu[r * n + col] / pivot;
                 lu[r * n + col] = f;
-                if f == 0.0 {
+                if f == T::ZERO {
                     continue;
                 }
                 for c in (col + 1)..n {
@@ -404,7 +363,7 @@ impl LuFactors {
     /// # Panics
     ///
     /// Panics if `b.len()` disagrees with the factored order.
-    pub fn solve(&self, b: &mut [f64]) {
+    pub fn solve(&self, b: &mut [T]) {
         let n = self.n;
         assert_eq!(b.len(), n);
         // Apply the recorded row swaps, then forward/back substitution.
@@ -416,7 +375,7 @@ impl LuFactors {
         }
         for col in 0..n {
             let bc = b[col];
-            if bc != 0.0 {
+            if bc != T::ZERO {
                 for r in (col + 1)..n {
                     b[r] -= self.lu[r * n + col] * bc;
                 }
@@ -432,107 +391,10 @@ impl LuFactors {
     }
 }
 
-/// Dense row-major complex matrix (for AC analysis).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CMatrix {
-    n: usize,
-    data: Vec<Complex64>,
-}
-
-impl CMatrix {
-    /// Zero square complex matrix of order `n`.
-    pub fn zeros(n: usize) -> Self {
-        CMatrix {
-            n,
-            data: vec![Complex64::new(0.0, 0.0); n * n],
-        }
-    }
-
-    /// Order of the matrix.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
-    /// Adds `v` at `(r, c)`.
-    #[inline]
-    pub fn add(&mut self, r: usize, c: usize, v: Complex64) {
-        self.data[r * self.n + c] += v;
-    }
-
-    /// Adds a real value at `(r, c)`.
-    #[inline]
-    pub fn add_re(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.n + c] += Complex64::new(v, 0.0);
-    }
-
-    /// Adds a purely imaginary value at `(r, c)`.
-    #[inline]
-    pub fn add_im(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.n + c] += Complex64::new(0.0, v);
-    }
-
-    /// Solves `self · x = b`, overwriting `b`. Destroys `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] when the matrix is numerically
-    /// singular (pivot selection is by squared norm).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` disagrees with the order.
-    pub fn solve_in_place(&mut self, b: &mut [Complex64]) -> Result<(), SingularMatrixError> {
-        let n = self.n;
-        assert_eq!(b.len(), n);
-        for col in 0..n {
-            let mut piv = col;
-            let mut mag = self.data[col * n + col].norm_sqr();
-            for r in (col + 1)..n {
-                let m = self.data[r * n + col].norm_sqr();
-                if m > mag {
-                    mag = m;
-                    piv = r;
-                }
-            }
-            if mag < PIVOT_MIN {
-                return Err(SingularMatrixError {
-                    order: n,
-                    pivot: col,
-                });
-            }
-            if piv != col {
-                for c in 0..n {
-                    self.data.swap(col * n + c, piv * n + c);
-                }
-                b.swap(col, piv);
-            }
-            let pivot = self.data[col * n + col];
-            for r in (col + 1)..n {
-                let f = self.data[r * n + col] / pivot;
-                if f == Complex64::new(0.0, 0.0) {
-                    continue;
-                }
-                for c in col..n {
-                    let v = self.data[col * n + c];
-                    self.data[r * n + c] -= f * v;
-                }
-                b[r] -= f * b[col];
-            }
-        }
-        for col in (0..n).rev() {
-            let mut acc = b[col];
-            for c in (col + 1)..n {
-                acc -= self.data[col * n + c] * b[c];
-            }
-            b[col] = acc / self.data[col * n + col];
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use num_complex::Complex64;
 
     #[test]
     fn solves_known_2x2() {
@@ -692,10 +554,10 @@ mod tests {
         let r = 1e3;
         let c = 1e-9;
         let w = 1.0 / (r * c);
-        let mut m = CMatrix::zeros(1);
+        let mut m = DMatrix::square(1);
         // Node equation: (1/R) (v - 1) + jwC v = 0 → v (1/R + jwC) = 1/R.
-        m.add_re(0, 0, 1.0 / r);
-        m.add_im(0, 0, w * c);
+        m.add(0, 0, Complex64::new(1.0 / r, 0.0));
+        m.add(0, 0, Complex64::new(0.0, w * c));
         let mut b = vec![Complex64::new(1.0 / r, 0.0)];
         m.solve_in_place(&mut b).unwrap();
         let mag = b[0].norm();
@@ -737,9 +599,9 @@ mod tests {
 
     #[test]
     fn complex_singular_detected() {
-        let mut m = CMatrix::zeros(2);
-        m.add_re(0, 0, 1.0);
-        m.add_re(1, 0, 1.0);
+        let mut m = DMatrix::square(2);
+        m.add(0, 0, Complex64::new(1.0, 0.0));
+        m.add(1, 0, Complex64::new(1.0, 0.0));
         let mut b = vec![Complex64::new(1.0, 0.0); 2];
         let err = m.solve_in_place(&mut b).unwrap_err();
         assert_eq!(err.order, 2);

@@ -78,6 +78,8 @@ pub trait SparseScalar:
     fn mag(self) -> f64;
     /// True when every component is finite.
     fn finite(self) -> bool;
+    /// True when any component is NaN.
+    fn nan(self) -> bool;
 }
 
 impl SparseScalar for f64 {
@@ -89,6 +91,10 @@ impl SparseScalar for f64 {
     #[inline]
     fn finite(self) -> bool {
         self.is_finite()
+    }
+    #[inline]
+    fn nan(self) -> bool {
+        self.is_nan()
     }
 }
 
@@ -102,13 +108,17 @@ impl SparseScalar for Complex64 {
     fn finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
+    #[inline]
+    fn nan(self) -> bool {
+        self.re.is_nan() || self.im.is_nan()
+    }
 }
 
-/// Which linear-solver backend the circuit engine (`spice`) should use.
+/// Which linear-solver backend a [`crate::LinearSolver`] runs.
 ///
-/// Resolved from the `UWB_AMS_SOLVER` environment variable (`auto`,
-/// `dense`, `sparse`, `krylov`; anything else falls back to `auto`) or
-/// set explicitly on the analyses' option structs.
+/// The analyses default to [`Auto`](Self::Auto), which picks the backend
+/// from the system size; an explicit kind is an API parameter for parity
+/// tests and benches that need a fixed reference path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// Size/density heuristic: sparse for large, sparse-enough systems,
@@ -125,21 +135,6 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Parses a `UWB_AMS_SOLVER` value; `None` or unknown → [`Auto`](Self::Auto).
-    pub fn parse(value: Option<&str>) -> Self {
-        match value {
-            Some("dense") => SolverKind::Dense,
-            Some("sparse") => SolverKind::Sparse,
-            Some("krylov") => SolverKind::Krylov,
-            _ => SolverKind::Auto,
-        }
-    }
-
-    /// Reads the `UWB_AMS_SOLVER` environment override.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("UWB_AMS_SOLVER").ok().as_deref())
-    }
-
     /// Decides whether the sparse path should handle an order-`n` system
     /// with an estimated `nnz_estimate` structural nonzeros. `Auto`
     /// requires both a big-enough order ([`SPARSE_AUTO_MIN_ORDER`]) and a
@@ -366,30 +361,7 @@ impl<T: SparseScalar> SparseMatrix<T> {
     }
 }
 
-impl SparseMatrix<f64> {
-    /// Builds a sparse matrix from the nonzero entries of a dense one
-    /// (plus every diagonal slot, so Jacobians keep a pivotable pattern
-    /// even when a diagonal entry is momentarily zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square.
-    pub fn from_dense(a: &DMatrix) -> Self {
-        let n = a.order();
-        let mut m = SparseMatrix::new(n);
-        m.begin_assembly();
-        for r in 0..n {
-            for c in 0..n {
-                let v = a.get(r, c);
-                if v != 0.0 || r == c {
-                    m.add(r, c, v);
-                }
-            }
-        }
-        m.finish_assembly();
-        m
-    }
-
+impl<T: SparseScalar> SparseMatrix<T> {
     /// Scans the compiled values for the first non-finite entry, reporting
     /// its original `(row, col)` position — the sparse counterpart of
     /// [`crate::linalg::check_finite_matrix`].
@@ -402,9 +374,9 @@ impl SparseMatrix<f64> {
         for c in 0..self.n {
             for p in self.col_ptr[c]..self.col_ptr[c + 1] {
                 let v = self.values[p];
-                if !v.is_finite() {
+                if !v.finite() {
                     return Err(NumericFault {
-                        nan: v.is_nan(),
+                        nan: v.nan(),
                         row: self.row_idx[p],
                         col: Some(c),
                         stage: "matrix",
@@ -414,7 +386,9 @@ impl SparseMatrix<f64> {
         }
         Ok(())
     }
+}
 
+impl SparseMatrix<f64> {
     /// Densifies (tests and fallbacks only).
     pub fn to_dense(&self) -> DMatrix {
         let mut d = DMatrix::square(self.n);
@@ -991,11 +965,10 @@ mod tests {
 
     #[test]
     fn complex_analyze_matches_dense_cmatrix() {
-        use crate::linalg::CMatrix;
         let n = 6;
         let mut rng = Lcg(0xC0FFEE);
         let mut s: SparseMatrix<Complex64> = SparseMatrix::new(n);
-        let mut d = CMatrix::zeros(n);
+        let mut d = DMatrix::square(n);
         s.begin_assembly();
         for r in 0..n {
             for &c in &[r, (r + 1) % n, (r + 3) % n] {
@@ -1024,8 +997,7 @@ mod tests {
 
     #[test]
     fn from_dense_round_trips() {
-        let (_, d) = seeded_sparse(9, 11);
-        let s = SparseMatrix::from_dense(&d);
+        let (s, d) = seeded_sparse(9, 11);
         for r in 0..9 {
             for c in 0..9 {
                 assert_eq!(s.get(r, c), d.get(r, c));
@@ -1036,12 +1008,6 @@ mod tests {
 
     #[test]
     fn solver_kind_parse_and_heuristic() {
-        assert_eq!(SolverKind::parse(Some("dense")), SolverKind::Dense);
-        assert_eq!(SolverKind::parse(Some("sparse")), SolverKind::Sparse);
-        assert_eq!(SolverKind::parse(Some("auto")), SolverKind::Auto);
-        assert_eq!(SolverKind::parse(Some("krylov")), SolverKind::Krylov);
-        assert_eq!(SolverKind::parse(Some("bogus")), SolverKind::Auto);
-        assert_eq!(SolverKind::parse(None), SolverKind::Auto);
         // Heuristic: order floor and 25 % density cap.
         assert!(!SolverKind::Auto.picks_sparse(40, 200), "I&D stays dense");
         assert!(SolverKind::Auto.picks_sparse(128, 600));

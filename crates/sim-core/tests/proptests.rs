@@ -10,7 +10,9 @@
 
 use sim_core::batched::{BatchedLu, LaneOutcome};
 use sim_core::linalg::DMatrix;
-use sim_core::sparse::{min_degree_order, RefactorOutcome, SparseMatrix, SymbolicLu};
+use sim_core::linsolve::{LinearSolver, SolveControls};
+use sim_core::perf::PerfCounters;
+use sim_core::sparse::{min_degree_order, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
 
 struct XorShift(u64);
 
@@ -138,6 +140,38 @@ fn sparse_paths_agree_with_dense_on_random_systems() {
                 "seed {seed:#x}: residual[{i}] = {}",
                 axi - bi
             );
+        }
+
+        // The engines' path: every LinearSolver arm on the same system,
+        // restamped with the perturbation (dense refactor, sparse
+        // pinned-pattern refactor, Krylov stale preconditioner), then
+        // restamped unchanged (bit-identical reuse on the direct arms).
+        let ctl = SolveControls {
+            reuse: true,
+            guard: true,
+        };
+        for kind in [SolverKind::Dense, SolverKind::Sparse, SolverKind::Krylov] {
+            let mut ls = LinearSolver::new(kind, n, triplets.len());
+            let mut c = PerfCounters::new();
+            for (s, want) in [(1.0, &x_dense), (scale, &x_pdense), (scale, &x_pdense)] {
+                ls.reset();
+                for &(r, col, v) in &triplets {
+                    ls.add(r, col, if r == col { v } else { v * s });
+                }
+                let mut x = b.clone();
+                ls.solve(&mut x, None, ctl, &mut c)
+                    .unwrap_or_else(|e| panic!("seed {seed:#x}: {kind:?}: {e:?}"));
+                assert_close(&x, want, 1e-10, &format!("{kind:?} solver vs dense"), seed);
+            }
+            // The unchanged restamp reused on the direct arms, the sparse
+            // arm analyzed once, and the Krylov arm never had to demote.
+            if kind != SolverKind::Krylov {
+                assert!(c.lu_reuses >= 1, "seed {seed:#x}: {kind:?}: {c}");
+            }
+            if kind == SolverKind::Sparse {
+                assert_eq!(c.symbolic_analyses, 1, "seed {seed:#x}: {c}");
+            }
+            assert_eq!(c.krylov_fallbacks, 0, "seed {seed:#x}: {c}");
         }
     }
 }
@@ -448,5 +482,29 @@ fn gmres_exhausted_budget_reports_for_fallback() {
         sym.solve(&num, &mut x_direct);
         let x_dense = sim_core::linalg::solve(&dense_of(&triplets, n, 1.0), &b).expect("solvable");
         assert_close(&x_direct, &x_dense, 1e-10, "fallback direct vs dense", seed);
+
+        // The engines' counted demotion under the real GMRES budget: a
+        // weighted cyclic shift longer than the 30-vector basis stagnates
+        // at residual 1 (every shorter Krylov space is orthogonal to the
+        // excited unknown, and the zero diagonal defeats ILU(0)), so the
+        // LinearSolver Krylov arm must fall back to the direct LU once.
+        let m = 31 + rng.below(32) as usize;
+        let mut ls = LinearSolver::new(SolverKind::Krylov, m, m);
+        let mut d = DMatrix::square(m);
+        ls.reset();
+        for i in 0..m {
+            let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+            let v = sign * rng.range(0.5, 2.0);
+            ls.add((i + 1) % m, i, v);
+            d.add((i + 1) % m, i, v);
+        }
+        let mut bc = vec![0.0; m];
+        bc[rng.below(m as u64) as usize] = rng.range(0.5, 2.0);
+        let want = sim_core::linalg::solve(&d, &bc).expect("a permutation is solvable");
+        let mut counters = PerfCounters::new();
+        ls.solve(&mut bc, None, SolveControls::default(), &mut counters)
+            .expect("the direct rung solves what GMRES could not");
+        assert_eq!(counters.krylov_fallbacks, 1, "seed {seed:#x}: {counters}");
+        assert_close(&bc, &want, 1e-10, "solver fallback vs dense", seed);
     }
 }

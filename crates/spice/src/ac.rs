@@ -7,14 +7,12 @@
 use crate::circuit::{Circuit, Element, NodeId};
 use crate::dcop::{dcop_with, DcSolution};
 use crate::error::SpiceError;
-use crate::linalg::CMatrix;
 use crate::mna::{estimate_nnz, switch_conductance, MnaLayout};
 use crate::mosfet::eval_mosfet;
 use crate::perf::PerfCounters;
 use num_complex::Complex64;
-use sim_core::gmres::gmres_solve;
-use sim_core::ilu::{Ilu0, IluPattern};
-use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
+use sim_core::linsolve::{LinearSolver, SolveControls};
+use sim_core::sparse::SolverKind;
 
 /// Result of an AC sweep: one complex solution vector per frequency.
 #[derive(Debug, Clone)]
@@ -128,7 +126,7 @@ pub fn ac_analysis(
 }
 
 /// AC sweep around an already-computed operating point, with the solver
-/// backend taken from the `UWB_AMS_SOLVER` environment override.
+/// backend picked from the system size ([`SolverKind::Auto`]).
 ///
 /// # Errors
 ///
@@ -138,45 +136,32 @@ pub fn ac_analysis_at(
     op: &DcSolution,
     freqs: &[f64],
 ) -> Result<AcSweep, SpiceError> {
-    ac_analysis_at_with(circuit, op, freqs, SolverKind::from_env())
+    ac_analysis_at_with(circuit, op, freqs, SolverKind::Auto)
 }
 
-/// A complex matrix that AC stamps accumulate into — the complex twin of
-/// [`crate::mna::Stamp`], implemented by the dense [`CMatrix`] and the
-/// triplet-logging [`SparseMatrix<Complex64>`].
-trait AcStamp {
-    fn add_re(&mut self, r: usize, c: usize, v: f64);
-    fn add_im(&mut self, r: usize, c: usize, v: f64);
+/// The complex small-signal system's assembly target and solver.
+type AcMatrix = LinearSolver<Complex64>;
+
+/// Accumulates a real (conductance-like) entry.
+fn add_re(mat: &mut AcMatrix, r: usize, c: usize, v: f64) {
+    mat.add(r, c, Complex64::new(v, 0.0));
 }
 
-impl AcStamp for CMatrix {
-    fn add_re(&mut self, r: usize, c: usize, v: f64) {
-        CMatrix::add_re(self, r, c, v);
-    }
-    fn add_im(&mut self, r: usize, c: usize, v: f64) {
-        CMatrix::add_im(self, r, c, v);
-    }
-}
-
-impl AcStamp for SparseMatrix<Complex64> {
-    fn add_re(&mut self, r: usize, c: usize, v: f64) {
-        self.add(r, c, Complex64::new(v, 0.0));
-    }
-    fn add_im(&mut self, r: usize, c: usize, v: f64) {
-        self.add(r, c, Complex64::new(0.0, v));
-    }
+/// Accumulates a purely imaginary (susceptance) entry.
+fn add_im(mat: &mut AcMatrix, r: usize, c: usize, v: f64) {
+    mat.add(r, c, Complex64::new(0.0, v));
 }
 
 /// Stamps the small-signal system at angular frequency `omega` around the
 /// operating point `op` into `mat`/`rhs`. The stamp *sequence* depends
 /// only on the circuit, so on the sparse path every frequency replays the
 /// same locked triplet structure.
-fn assemble_ac<M: AcStamp>(
+fn assemble_ac(
     circuit: &Circuit,
     layout: &MnaLayout,
     op: &DcSolution,
     omega: f64,
-    mat: &mut M,
+    mat: &mut AcMatrix,
     rhs: &mut [Complex64],
 ) -> Result<(), SpiceError> {
     let v_at = |node: NodeId| layout.voltage(&op.x, node);
@@ -191,43 +176,43 @@ fn assemble_ac<M: AcStamp>(
             })
     };
     {
-        let stamp_g = |mat: &mut M, p: NodeId, nn: NodeId, g: f64| {
+        let stamp_g = |mat: &mut AcMatrix, p: NodeId, nn: NodeId, g: f64| {
             let up = layout.node_unknown(p);
             let un = layout.node_unknown(nn);
             if let Some(i) = up {
-                mat.add_re(i, i, g);
+                add_re(mat, i, i, g);
             }
             if let Some(j) = un {
-                mat.add_re(j, j, g);
+                add_re(mat, j, j, g);
             }
             if let (Some(i), Some(j)) = (up, un) {
-                mat.add_re(i, j, -g);
-                mat.add_re(j, i, -g);
+                add_re(mat, i, j, -g);
+                add_re(mat, j, i, -g);
             }
         };
-        let stamp_c = |mat: &mut M, p: NodeId, nn: NodeId, c: f64| {
+        let stamp_c = |mat: &mut AcMatrix, p: NodeId, nn: NodeId, c: f64| {
             let b = omega * c;
             let up = layout.node_unknown(p);
             let un = layout.node_unknown(nn);
             if let Some(i) = up {
-                mat.add_im(i, i, b);
+                add_im(mat, i, i, b);
             }
             if let Some(j) = un {
-                mat.add_im(j, j, b);
+                add_im(mat, j, j, b);
             }
             if let (Some(i), Some(j)) = (up, un) {
-                mat.add_im(i, j, -b);
-                mat.add_im(j, i, -b);
+                add_im(mat, i, j, -b);
+                add_im(mat, j, i, -b);
             }
         };
         // Transconductance stamp: I(p→n) += gm · v(cp).
-        let stamp_gm = |mat: &mut M, p: NodeId, nn: NodeId, ctrl: NodeId, gm: f64| {
+        let stamp_gm = |mat: &mut AcMatrix, p: NodeId, nn: NodeId, ctrl: NodeId, gm: f64| {
             if let Some(col) = layout.node_unknown(ctrl) {
                 if let Some(i) = layout.node_unknown(p) {
-                    mat.add_re(i, col, gm);
+                    add_re(mat, i, col, gm);
                 }
                 if let Some(j) = layout.node_unknown(nn) {
-                    mat.add_re(j, col, -gm);
+                    add_re(mat, j, col, -gm);
                 }
             }
         };
@@ -241,12 +226,12 @@ fn assemble_ac<M: AcStamp>(
                 } => {
                     let ib = branch(idx, name)?;
                     if let Some(i) = layout.node_unknown(*p) {
-                        mat.add_re(i, ib, 1.0);
-                        mat.add_re(ib, i, 1.0);
+                        add_re(mat, i, ib, 1.0);
+                        add_re(mat, ib, i, 1.0);
                     }
                     if let Some(j) = layout.node_unknown(*nn) {
-                        mat.add_re(j, ib, -1.0);
-                        mat.add_re(ib, j, -1.0);
+                        add_re(mat, j, ib, -1.0);
+                        add_re(mat, ib, j, -1.0);
                     }
                     rhs[ib] += Complex64::new(*ac_mag, 0.0);
                 }
@@ -269,18 +254,18 @@ fn assemble_ac<M: AcStamp>(
                 } => {
                     let ib = branch(idx, name)?;
                     if let Some(i) = layout.node_unknown(*p) {
-                        mat.add_re(i, ib, 1.0);
-                        mat.add_re(ib, i, 1.0);
+                        add_re(mat, i, ib, 1.0);
+                        add_re(mat, ib, i, 1.0);
                     }
                     if let Some(j) = layout.node_unknown(*nn) {
-                        mat.add_re(j, ib, -1.0);
-                        mat.add_re(ib, j, -1.0);
+                        add_re(mat, j, ib, -1.0);
+                        add_re(mat, ib, j, -1.0);
                     }
                     if let Some(k) = layout.node_unknown(*cp) {
-                        mat.add_re(ib, k, -gain);
+                        add_re(mat, ib, k, -gain);
                     }
                     if let Some(k) = layout.node_unknown(*cn) {
-                        mat.add_re(ib, k, *gain);
+                        add_re(mat, ib, k, *gain);
                     }
                 }
                 Element::Vccs {
@@ -301,24 +286,24 @@ fn assemble_ac<M: AcStamp>(
                 } => {
                     let ib_ctrl = branch(*ctrl, name)?;
                     if let Some(i) = layout.node_unknown(*p) {
-                        mat.add_re(i, ib_ctrl, *gain);
+                        add_re(mat, i, ib_ctrl, *gain);
                     }
                     if let Some(j) = layout.node_unknown(*nn) {
-                        mat.add_re(j, ib_ctrl, -*gain);
+                        add_re(mat, j, ib_ctrl, -*gain);
                     }
                 }
                 Element::Ccvs { p, n: nn, ctrl, rm } => {
                     let ib = branch(idx, name)?;
                     let ib_ctrl = branch(*ctrl, name)?;
                     if let Some(i) = layout.node_unknown(*p) {
-                        mat.add_re(i, ib, 1.0);
-                        mat.add_re(ib, i, 1.0);
+                        add_re(mat, i, ib, 1.0);
+                        add_re(mat, ib, i, 1.0);
                     }
                     if let Some(j) = layout.node_unknown(*nn) {
-                        mat.add_re(j, ib, -1.0);
-                        mat.add_re(ib, j, -1.0);
+                        add_re(mat, j, ib, -1.0);
+                        add_re(mat, ib, j, -1.0);
                     }
-                    mat.add_re(ib, ib_ctrl, -*rm);
+                    add_re(mat, ib, ib_ctrl, -*rm);
                 }
                 Element::Switch {
                     p,
@@ -342,14 +327,14 @@ fn assemble_ac<M: AcStamp>(
                 Element::Inductor { p, n: nn, l } => {
                     let ib = branch(idx, name)?;
                     if let Some(i) = layout.node_unknown(*p) {
-                        mat.add_re(i, ib, 1.0);
-                        mat.add_re(ib, i, 1.0);
+                        add_re(mat, i, ib, 1.0);
+                        add_re(mat, ib, i, 1.0);
                     }
                     if let Some(j) = layout.node_unknown(*nn) {
-                        mat.add_re(j, ib, -1.0);
-                        mat.add_re(ib, j, -1.0);
+                        add_re(mat, j, ib, -1.0);
+                        add_re(mat, ib, j, -1.0);
                     }
-                    mat.add_im(ib, ib, -omega * l);
+                    add_im(mat, ib, ib, -omega * l);
                 }
                 Element::Mosfet {
                     d,
@@ -390,20 +375,18 @@ fn assemble_ac<M: AcStamp>(
             }
         }
         for node in 1..layout.n_nodes() {
-            mat.add_re(node - 1, node - 1, 1e-12);
+            add_re(mat, node - 1, node - 1, 1e-12);
         }
     }
     Ok(())
 }
 
-/// [`ac_analysis_at`] with an explicit solver backend. The dense path is
-/// unchanged vs history (fresh [`CMatrix`] + full factorization per
-/// frequency); the sparse path assembles one locked triplet structure,
-/// runs the symbolic analysis at the first frequency and numerically
-/// refactors on the pinned pattern for every later one (a stale pivot
-/// falls back to a fresh analysis); the Krylov path runs complex
-/// GMRES + ILU(0) with one preconditioner per sweep and a counted
-/// direct-LU fallback per stalled frequency.
+/// [`ac_analysis_at`] with an explicit solver backend. One
+/// [`LinearSolver`] serves the whole sweep: the dense arm factors every
+/// frequency afresh, the sparse arm shares one symbolic analysis and
+/// numerically refactors on the pinned pattern, and the Krylov arm reuses
+/// one ILU(0) preconditioner across frequencies (rebuilt on a stall, with
+/// a counted direct-LU fallback).
 ///
 /// # Errors
 ///
@@ -418,152 +401,16 @@ pub fn ac_analysis_at_with(
     let n = layout.size();
     let mut solutions = Vec::with_capacity(freqs.len());
     let mut counters = PerfCounters::new();
-
-    if solver.picks_krylov(n, estimate_nnz(circuit, &layout)) {
-        // Krylov tier: one ILU(0) preconditioner per sweep — built at the
-        // first frequency and reused (stale) across the remaining points,
-        // since the pattern is pinned and only the jωC terms move. A
-        // frequency where the stale preconditioner stalls GMRES gets one
-        // fresh rebuild, then the counted direct-LU fallback.
-        let mut mat: SparseMatrix<Complex64> = SparseMatrix::new(n);
-        let mut pattern: Option<IluPattern> = None;
-        let mut precond: Option<Ilu0<Complex64>> = None;
-        let mut precond_vals: Vec<Complex64> = Vec::new();
-        let mut factors: Option<(SymbolicLu, NumericLu<Complex64>)> = None;
-        for &f in freqs {
-            let omega = 2.0 * std::f64::consts::PI * f;
-            let mut rhs = vec![Complex64::new(0.0, 0.0); n];
-            mat.begin_assembly();
-            assemble_ac(circuit, &layout, op, omega, &mut mat, &mut rhs)?;
-            if mat.finish_assembly() {
-                pattern = None;
-                precond = None;
-                precond_vals.clear();
-                factors = None;
-            }
-            let pat = pattern.get_or_insert_with(|| IluPattern::analyze(&mat));
-            if precond.is_none() {
-                counters.preconditioner_builds += 1;
-                precond = Some(Ilu0::factor(pat, &mat));
-                precond_vals.clear();
-                precond_vals.extend_from_slice(mat.values());
-            }
-            let gopts = crate::dcop::KRYLOV_NEWTON_GMRES;
-            let mut x = vec![Complex64::new(0.0, 0.0); n];
-            let mut out = gmres_solve(
-                &mat,
-                pat,
-                precond.as_ref().expect("preconditioner built above"),
-                &rhs,
-                &mut x,
-                &gopts,
-            );
-            counters.krylov_iterations += out.iterations;
-            counters.krylov_restarts += out.restarts;
-            if !out.converged && mat.values() != &precond_vals[..] {
-                counters.preconditioner_builds += 1;
-                precond = Some(Ilu0::factor(pat, &mat));
-                precond_vals.clear();
-                precond_vals.extend_from_slice(mat.values());
-                x.fill(Complex64::new(0.0, 0.0));
-                out = gmres_solve(
-                    &mat,
-                    pat,
-                    precond.as_ref().expect("preconditioner rebuilt above"),
-                    &rhs,
-                    &mut x,
-                    &gopts,
-                );
-                counters.krylov_iterations += out.iterations;
-                counters.krylov_restarts += out.restarts;
-            }
-            if out.converged {
-                solutions.push(x);
-            } else {
-                counters.krylov_fallbacks += 1;
-                let mut refactored = false;
-                if let Some((sym, num)) = factors.as_mut() {
-                    match sym.refactor(&mat, num) {
-                        RefactorOutcome::Refactored => {
-                            counters.numeric_refactors += 1;
-                            counters.lu_factorizations += 1;
-                            refactored = true;
-                        }
-                        RefactorOutcome::Stale => {
-                            counters.pattern_fallbacks += 1;
-                        }
-                    }
-                }
-                if !refactored {
-                    counters.symbolic_analyses += 1;
-                    counters.lu_factorizations += 1;
-                    factors =
-                        Some(SymbolicLu::analyze(&mat).map_err(|e| SpiceError::Singular {
-                            analysis: "ac",
-                            order: e.order,
-                            pivot: e.pivot,
-                        })?);
-                }
-                let (sym, num) = factors.as_ref().expect("factors built above");
-                sym.solve(num, &mut rhs);
-                solutions.push(rhs);
-            }
-        }
-    } else if solver.picks_sparse(n, estimate_nnz(circuit, &layout)) {
-        let mut mat: SparseMatrix<Complex64> = SparseMatrix::new(n);
-        let mut factors: Option<(SymbolicLu, NumericLu<Complex64>)> = None;
-        for &f in freqs {
-            let omega = 2.0 * std::f64::consts::PI * f;
-            let mut rhs = vec![Complex64::new(0.0, 0.0); n];
-            mat.begin_assembly();
-            assemble_ac(circuit, &layout, op, omega, &mut mat, &mut rhs)?;
-            if mat.finish_assembly() {
-                factors = None;
-            }
-            let need_analyze = match factors.as_mut() {
-                Some((sym, num)) => match sym.refactor(&mat, num) {
-                    RefactorOutcome::Refactored => {
-                        counters.numeric_refactors += 1;
-                        counters.lu_factorizations += 1;
-                        false
-                    }
-                    RefactorOutcome::Stale => {
-                        counters.pattern_fallbacks += 1;
-                        true
-                    }
-                },
-                None => true,
-            };
-            if need_analyze {
-                counters.symbolic_analyses += 1;
-                counters.lu_factorizations += 1;
-                factors = Some(SymbolicLu::analyze(&mat).map_err(|e| SpiceError::Singular {
-                    analysis: "ac",
-                    order: e.order,
-                    pivot: e.pivot,
-                })?);
-            }
-            if let Some((sym, num)) = factors.as_ref() {
-                sym.solve(num, &mut rhs);
-            }
-            solutions.push(rhs);
-        }
-    } else {
-        for &f in freqs {
-            let omega = 2.0 * std::f64::consts::PI * f;
-            let mut mat = CMatrix::zeros(n);
-            let mut rhs = vec![Complex64::new(0.0, 0.0); n];
-            assemble_ac(circuit, &layout, op, omega, &mut mat, &mut rhs)?;
-            counters.lu_factorizations += 1;
-            let mut sol = rhs;
-            mat.solve_in_place(&mut sol)
-                .map_err(|e| SpiceError::Singular {
-                    analysis: "ac",
-                    order: e.order,
-                    pivot: e.pivot,
-                })?;
-            solutions.push(sol);
-        }
+    let mut mat = AcMatrix::new(solver, n, estimate_nnz(circuit, &layout));
+    for &f in freqs {
+        let omega = 2.0 * std::f64::consts::PI * f;
+        let mut rhs = vec![Complex64::new(0.0, 0.0); n];
+        mat.reset();
+        assemble_ac(circuit, &layout, op, omega, &mut mat, &mut rhs)?;
+        // Every frequency moves the jωC terms: no value reuse to find.
+        mat.solve(&mut rhs, None, SolveControls::default(), &mut counters)
+            .map_err(|e| SpiceError::from_solve("ac", e))?;
+        solutions.push(rhs);
     }
     Ok(AcSweep {
         freqs: freqs.to_vec(),
@@ -703,6 +550,46 @@ mod tests {
             kc.preconditioner_builds as usize <= freqs.len(),
             "at most one build (plus one refresh per stall) per frequency: {kc}"
         );
+    }
+
+    #[test]
+    fn two_pole_vccs_chain_matches_closed_form_on_every_backend() {
+        // The shape the Phase IV model abstracts: gm1 into R1‖C1, then gm2
+        // into R2‖C2. Each VCCS pulls gm·v(ctrl) out of its output node,
+        // so each stage inverts and the two signs cancel:
+        //   H(jω) = gm1·R1/(1+jωR1C1) · gm2·R2/(1+jωR2C2).
+        // The resistors are small enough that the 1e-12 S gmin floor on
+        // every node diagonal moves H by < 2e-10 relative.
+        let (gm1, r1, c1) = (20e-3, 100.0, 1.59e-9);
+        let (gm2, r2, c2) = (40e-3, 50.0, 318e-12);
+        let mut c = Circuit::new();
+        let vi = c.node("in");
+        let n1 = c.node("n1");
+        let vo = c.node("out");
+        c.vsource_ac("VIN", vi, Circuit::gnd(), SourceWave::Dc(0.0), 1.0);
+        c.vccs("G1", n1, Circuit::gnd(), vi, Circuit::gnd(), gm1);
+        c.resistor("R1", n1, Circuit::gnd(), r1);
+        c.capacitor("C1", n1, Circuit::gnd(), c1);
+        c.vccs("G2", vo, Circuit::gnd(), n1, Circuit::gnd(), gm2);
+        c.resistor("R2", vo, Circuit::gnd(), r2);
+        c.capacitor("C2", vo, Circuit::gnd(), c2);
+        let freqs = log_sweep(1e4, 1e9, 4);
+        let op = dcop_with(&c, &[]).unwrap();
+        let stage = |gm: f64, r: f64, cap: f64, w: f64| {
+            Complex64::new(gm * r, 0.0) / Complex64::new(1.0, w * r * cap)
+        };
+        for kind in [SolverKind::Dense, SolverKind::Sparse, SolverKind::Krylov] {
+            let sweep = ac_analysis_at_with(&c, &op, &freqs, kind).unwrap();
+            for (i, &f) in freqs.iter().enumerate() {
+                let w = 2.0 * std::f64::consts::PI * f;
+                let h = stage(gm1, r1, c1, w) * stage(gm2, r2, c2, w);
+                let v = sweep.voltage(i, vo);
+                assert!(
+                    (v - h).norm() <= 1e-9 * h.norm(),
+                    "{kind:?} at {f:.3e} Hz: {v} vs closed form {h}"
+                );
+            }
+        }
     }
 
     #[test]

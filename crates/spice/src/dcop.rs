@@ -2,24 +2,11 @@
 
 use crate::circuit::{Circuit, NodeId};
 use crate::error::SpiceError;
-use crate::linalg::{LuFactors, Matrix};
 use crate::mna::{assemble, estimate_nnz, AssembleMode, AssembleParams, MnaLayout};
 use crate::perf::PerfCounters;
 use sim_core::batched::{BatchedLu, LaneOutcome};
-use sim_core::gmres::{gmres_solve, GmresOptions};
-use sim_core::ilu::{Ilu0, IluPattern};
-use sim_core::sparse::{NumericLu, RefactorOutcome, SolverKind, SparseMatrix, SymbolicLu};
-
-/// GMRES controls for Krylov-backed Newton solves. The tolerance sits
-/// well below the Newton convergence tolerances and the parity gates, so
-/// a converged Krylov correction is interchangeable with a direct solve;
-/// the restart budget is kept modest because an unconverged solve demotes
-/// to the direct sparse LU anyway (counted, never fatal).
-pub(crate) const KRYLOV_NEWTON_GMRES: GmresOptions = GmresOptions {
-    restart: 30,
-    max_restarts: 10,
-    tol: 1e-12,
-};
+use sim_core::linsolve::{LinearSolver, SolveControls};
+use sim_core::sparse::{SolverKind, SparseMatrix, SymbolicLu};
 
 /// Newton iteration controls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,11 +31,10 @@ pub struct NewtonOptions {
     /// taxonomy is part of the bit-exact golden contract; the rescue
     /// policy switches it on (see [`crate::rescue::RescuePolicy`]).
     pub numeric_guard: bool,
-    /// Linear-solver backend: dense kernel, sparse symbolic/numeric LU, or
-    /// the size/density heuristic. Defaults to the `UWB_AMS_SOLVER`
-    /// environment override (`auto` when unset), under which every
-    /// single-instance netlist in the workspace stays on the dense kernel
-    /// — bit-exact vs the pre-sparse history.
+    /// Linear-solver backend: [`SolverKind::Auto`] (the default) picks it
+    /// from the system size, under which every single-instance netlist in
+    /// the workspace stays on the dense kernel — bit-exact vs the
+    /// pre-sparse history. An explicit kind pins a reference path.
     pub solver: SolverKind,
 }
 
@@ -61,134 +47,34 @@ impl Default for NewtonOptions {
             max_step: 0.5,
             reuse_lu: true,
             numeric_guard: false,
-            solver: SolverKind::from_env(),
+            solver: SolverKind::Auto,
         }
     }
 }
 
-/// Preallocated per-layout solve buffers and the LU factorization cache.
+/// Preallocated per-layout solve buffers and the [`LinearSolver`] with its
+/// factorization caches.
 ///
 /// One instance lives inside each [`crate::tran::TransientSimulator`] (and
-/// each `dcop` call), so the hot path allocates nothing per Newton
+/// each `dcop` call), so the direct arms allocate nothing per Newton
 /// iteration and can carry a factorization across iterations and steps.
 #[derive(Debug, Clone)]
 pub(crate) struct NewtonWorkspace {
     rhs: Vec<f64>,
     x_new: Vec<f64>,
-    backend: Backend,
-}
-
-/// The linear-solver half of a [`NewtonWorkspace`]: dense matrix + cached
-/// partial-pivot LU (the legacy path, bit-exact vs history) or triplet
-/// sparse matrix + split symbolic/numeric LU.
-#[derive(Debug, Clone)]
-enum Backend {
-    Dense {
-        mat: Matrix,
-        lu: LuFactors,
-        /// Raw copy of the matrix the cached `lu` factors.
-        a_cached: Vec<f64>,
-        lu_valid: bool,
-    },
-    Sparse {
-        mat: SparseMatrix<f64>,
-        /// Symbolic pattern + pinned-pattern numeric factors; `None` until
-        /// the first analysis (or after a structural recompile). Boxed so
-        /// the enum stays close to the dense variant in size.
-        factors: Option<Box<(SymbolicLu, NumericLu<f64>)>>,
-        /// Raw copy of the CSC values the cached factors eliminate —
-        /// the sparse twin of the dense byte-compare reuse test.
-        vals_cached: Vec<f64>,
-        cache_valid: bool,
-    },
-    Krylov {
-        mat: SparseMatrix<f64>,
-        /// CSR view + diagonal pointers for ILU(0); analyzed once per
-        /// pinned pattern, dropped on a structural recompile.
-        ilu_pattern: Option<Box<IluPattern>>,
-        /// Current preconditioner. Allowed to go stale across Newton
-        /// iterations (the operator is always the exact current matrix,
-        /// so staleness only costs GMRES iterations); refreshed when a
-        /// stale-preconditioned solve stalls.
-        precond: Option<Box<Ilu0<f64>>>,
-        /// Raw copy of the CSC values `precond` was factored from — the
-        /// staleness test.
-        precond_vals: Vec<f64>,
-        /// Direct sparse factors for the counted fallback rung; built
-        /// lazily the first time GMRES fails to converge.
-        factors: Option<Box<(SymbolicLu, NumericLu<f64>)>>,
-    },
+    solver: LinearSolver,
 }
 
 impl NewtonWorkspace {
-    /// Dense-backend workspace (the legacy constructor; rescue rungs and
-    /// small circuits use it directly).
-    pub(crate) fn new(n: usize) -> Self {
-        NewtonWorkspace {
-            rhs: vec![0.0; n],
-            x_new: vec![0.0; n],
-            backend: Backend::Dense {
-                mat: Matrix::square(n),
-                lu: LuFactors::new(n),
-                a_cached: vec![0.0; n * n],
-                lu_valid: false,
-            },
-        }
-    }
-
-    /// Sparse-backend workspace.
-    pub(crate) fn sparse(n: usize) -> Self {
-        NewtonWorkspace {
-            rhs: vec![0.0; n],
-            x_new: vec![0.0; n],
-            backend: Backend::Sparse {
-                mat: SparseMatrix::new(n),
-                factors: None,
-                vals_cached: Vec::new(),
-                cache_valid: false,
-            },
-        }
-    }
-
-    /// Krylov-backend workspace (GMRES + ILU(0) over the sparse assembly,
-    /// with a counted fallback to the direct sparse LU).
-    pub(crate) fn krylov(n: usize) -> Self {
-        NewtonWorkspace {
-            rhs: vec![0.0; n],
-            x_new: vec![0.0; n],
-            backend: Backend::Krylov {
-                mat: SparseMatrix::new(n),
-                ilu_pattern: None,
-                precond: None,
-                precond_vals: Vec::new(),
-                factors: None,
-            },
-        }
-    }
-
-    /// Picks the backend for `circuit` from `kind` and the stamp-footprint
-    /// density estimate.
+    /// Workspace whose solver backend is picked from `kind` and the
+    /// stamp-footprint density estimate of `circuit`.
     pub(crate) fn for_circuit(circuit: &Circuit, layout: &MnaLayout, kind: SolverKind) -> Self {
-        let nnz = estimate_nnz(circuit, layout);
-        if kind.picks_krylov(layout.size(), nnz) {
-            Self::krylov(layout.size())
-        } else if kind.picks_sparse(layout.size(), nnz) {
-            Self::sparse(layout.size())
-        } else {
-            Self::new(layout.size())
+        let n = layout.size();
+        NewtonWorkspace {
+            rhs: vec![0.0; n],
+            x_new: vec![0.0; n],
+            solver: LinearSolver::new(kind, n, estimate_nnz(circuit, layout)),
         }
-    }
-
-    /// `true` when this workspace routes solves through the sparse kernel.
-    #[cfg(test)]
-    pub(crate) fn is_sparse(&self) -> bool {
-        matches!(self.backend, Backend::Sparse { .. })
-    }
-
-    /// `true` when this workspace routes solves through the Krylov tier.
-    #[cfg(test)]
-    pub(crate) fn is_krylov(&self) -> bool {
-        matches!(self.backend, Backend::Krylov { .. })
     }
 }
 
@@ -223,246 +109,18 @@ pub(crate) fn newton_solve(
     let n_volt = layout.n_nodes() - 1;
     let mut last_delta = f64::INFINITY;
     let linear = circuit.is_linear();
-    let NewtonWorkspace {
-        rhs,
-        x_new,
-        backend,
-    } = ws;
+    let NewtonWorkspace { rhs, x_new, solver } = ws;
+    let ctl = SolveControls {
+        reuse: opts.reuse_lu,
+        guard: opts.numeric_guard,
+    };
     for _ in 0..opts.max_iter {
         counters.newton_iterations += 1;
-        match backend {
-            Backend::Dense {
-                mat,
-                lu,
-                a_cached,
-                lu_valid,
-            } => {
-                assemble(circuit, layout, &x, mode, &params, mat, rhs)?;
-                if opts.numeric_guard {
-                    if let Err(fault) = sim_core::linalg::check_finite_matrix(mat)
-                        .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
-                    {
-                        return Err(SpiceError::Numeric {
-                            analysis: "dcop",
-                            fault,
-                        });
-                    }
-                }
-                if opts.reuse_lu && *lu_valid && mat.data() == &a_cached[..] {
-                    counters.lu_reuses += 1;
-                } else {
-                    a_cached.copy_from_slice(mat.data());
-                    counters.lu_factorizations += 1;
-                    match lu.factorize(mat) {
-                        Ok(()) => *lu_valid = true,
-                        Err(e) => {
-                            *lu_valid = false;
-                            return Err(SpiceError::Singular {
-                                analysis: "dcop",
-                                order: e.order,
-                                pivot: e.pivot,
-                            });
-                        }
-                    }
-                }
-                x_new.copy_from_slice(rhs);
-                lu.solve(x_new);
-            }
-            Backend::Sparse {
-                mat,
-                factors,
-                vals_cached,
-                cache_valid,
-            } => {
-                assemble(circuit, layout, &x, mode, &params, mat, rhs)?;
-                if mat.finish_assembly() {
-                    // Stamp sequence diverged: the CSC structure was
-                    // recompiled, so the pinned pattern and value cache
-                    // are both meaningless.
-                    *factors = None;
-                    *cache_valid = false;
-                }
-                if opts.numeric_guard {
-                    if let Err(fault) = mat
-                        .check_finite()
-                        .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
-                    {
-                        return Err(SpiceError::Numeric {
-                            analysis: "dcop",
-                            fault,
-                        });
-                    }
-                }
-                let reuse = opts.reuse_lu
-                    && *cache_valid
-                    && factors.is_some()
-                    && mat.values() == &vals_cached[..];
-                if reuse {
-                    counters.lu_reuses += 1;
-                } else {
-                    vals_cached.clear();
-                    vals_cached.extend_from_slice(mat.values());
-                    *cache_valid = true;
-                    let mut refactored = false;
-                    if let Some((sym, num)) = factors.as_deref_mut() {
-                        match sym.refactor(mat, num) {
-                            RefactorOutcome::Refactored => {
-                                counters.numeric_refactors += 1;
-                                counters.lu_factorizations += 1;
-                                refactored = true;
-                            }
-                            RefactorOutcome::Stale => {
-                                counters.pattern_fallbacks += 1;
-                            }
-                        }
-                    }
-                    if !refactored {
-                        counters.symbolic_analyses += 1;
-                        counters.lu_factorizations += 1;
-                        match SymbolicLu::analyze(mat) {
-                            Ok(pair) => *factors = Some(Box::new(pair)),
-                            Err(e) => {
-                                *factors = None;
-                                *cache_valid = false;
-                                return Err(SpiceError::Singular {
-                                    analysis: "dcop",
-                                    order: e.order,
-                                    pivot: e.pivot,
-                                });
-                            }
-                        }
-                    }
-                }
-                x_new.copy_from_slice(rhs);
-                match factors.as_deref() {
-                    Some((sym, num)) => sym.solve(num, x_new),
-                    None => {
-                        return Err(SpiceError::Singular {
-                            analysis: "dcop",
-                            order: n,
-                            pivot: n,
-                        })
-                    }
-                }
-            }
-            Backend::Krylov {
-                mat,
-                ilu_pattern,
-                precond,
-                precond_vals,
-                factors,
-            } => {
-                assemble(circuit, layout, &x, mode, &params, mat, rhs)?;
-                if mat.finish_assembly() {
-                    // Structural recompile: pattern-derived state is stale.
-                    *ilu_pattern = None;
-                    *precond = None;
-                    precond_vals.clear();
-                    *factors = None;
-                }
-                if opts.numeric_guard {
-                    if let Err(fault) = mat
-                        .check_finite()
-                        .and_then(|()| sim_core::linalg::check_finite_vec(rhs, "rhs"))
-                    {
-                        return Err(SpiceError::Numeric {
-                            analysis: "dcop",
-                            fault,
-                        });
-                    }
-                }
-                let pattern = ilu_pattern.get_or_insert_with(|| Box::new(IluPattern::analyze(mat)));
-                if precond.is_none() {
-                    counters.preconditioner_builds += 1;
-                    *precond = Some(Box::new(Ilu0::factor(pattern, mat)));
-                    precond_vals.clear();
-                    precond_vals.extend_from_slice(mat.values());
-                }
-                let gopts = KRYLOV_NEWTON_GMRES;
-                // Correction form: solve A·d = rhs − A·x from a zero
-                // guess. The Krylov space is the one a warm-started
-                // full-value solve would explore, but the convergence
-                // test becomes relative to the correction's own scale —
-                // a full-value ‖b‖·tol would leave the (tiny, near
-                // Newton convergence) update with almost no relative
-                // accuracy and let the iterate drift off the direct
-                // backends' trajectory.
-                let ax = mat.mul_vec(&x);
-                let residual: Vec<f64> = rhs.iter().zip(&ax).map(|(b, a)| b - a).collect();
-                let mut delta = vec![0.0; n];
-                let mut out = gmres_solve(
-                    mat,
-                    pattern,
-                    precond.as_deref().expect("preconditioner built above"),
-                    &residual,
-                    &mut delta,
-                    &gopts,
-                );
-                counters.krylov_iterations += out.iterations;
-                counters.krylov_restarts += out.restarts;
-                if !out.converged && mat.values() != &precond_vals[..] {
-                    // The preconditioner was stale; refresh it once and
-                    // retry before escalating to the direct rung.
-                    counters.preconditioner_builds += 1;
-                    *precond = Some(Box::new(Ilu0::factor(pattern, mat)));
-                    precond_vals.clear();
-                    precond_vals.extend_from_slice(mat.values());
-                    delta.fill(0.0);
-                    out = gmres_solve(
-                        mat,
-                        pattern,
-                        precond.as_deref().expect("preconditioner rebuilt above"),
-                        &residual,
-                        &mut delta,
-                        &gopts,
-                    );
-                    counters.krylov_iterations += out.iterations;
-                    counters.krylov_restarts += out.restarts;
-                }
-                if out.converged {
-                    for ((xn, &xi), d) in x_new.iter_mut().zip(x.iter()).zip(&delta) {
-                        *xn = xi + d;
-                    }
-                } else {
-                    // Counted rescue rung: demote this solve to the direct
-                    // sparse LU. Never a new failure mode — the direct
-                    // path owns the singularity reporting exactly as the
-                    // sparse backend does.
-                    counters.krylov_fallbacks += 1;
-                    let mut refactored = false;
-                    if let Some((sym, num)) = factors.as_deref_mut() {
-                        match sym.refactor(mat, num) {
-                            RefactorOutcome::Refactored => {
-                                counters.numeric_refactors += 1;
-                                counters.lu_factorizations += 1;
-                                refactored = true;
-                            }
-                            RefactorOutcome::Stale => {
-                                counters.pattern_fallbacks += 1;
-                            }
-                        }
-                    }
-                    if !refactored {
-                        counters.symbolic_analyses += 1;
-                        counters.lu_factorizations += 1;
-                        match SymbolicLu::analyze(mat) {
-                            Ok(pair) => *factors = Some(Box::new(pair)),
-                            Err(e) => {
-                                *factors = None;
-                                return Err(SpiceError::Singular {
-                                    analysis: "dcop",
-                                    order: e.order,
-                                    pivot: e.pivot,
-                                });
-                            }
-                        }
-                    }
-                    x_new.copy_from_slice(rhs);
-                    let (sym, num) = factors.as_deref().expect("factors built above");
-                    sym.solve(num, x_new);
-                }
-            }
-        }
+        assemble(circuit, layout, &x, mode, &params, solver, rhs)?;
+        x_new.copy_from_slice(rhs);
+        solver
+            .solve(x_new, Some(&x), ctl, counters)
+            .map_err(|e| SpiceError::from_solve("dcop", e))?;
         if linear {
             // Affine system: the solve is exact — accept undamped.
             if x_new.iter().any(|v| !v.is_finite()) {
@@ -1462,12 +1120,6 @@ mod tests {
             assert!((a - b).abs() < 1e-9, "node {node}: dense {a} vs sparse {b}");
         }
         assert!((dense.voltage(vo) - sparse.voltage(vo)).abs() < 1e-9);
-        // Backend selection: explicit sparse forces it, auto keeps this
-        // tiny circuit dense.
-        let layout = MnaLayout::new(&c);
-        assert!(NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Sparse).is_sparse());
-        assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Auto).is_sparse());
-        assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Dense).is_sparse());
     }
 
     #[test]
@@ -1503,12 +1155,6 @@ mod tests {
             assert!((a - b).abs() < 1e-9, "node {node}: dense {a} vs krylov {b}");
         }
         assert!((dense.voltage(vo) - krylov.voltage(vo)).abs() < 1e-9);
-        // Backend selection: explicit krylov forces the tier, auto keeps
-        // this tiny circuit on the dense kernel.
-        let layout = MnaLayout::new(&c);
-        assert!(NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Krylov).is_krylov());
-        assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Auto).is_krylov());
-        assert!(!NewtonWorkspace::for_circuit(&c, &layout, SolverKind::Sparse).is_krylov());
     }
 
     #[test]

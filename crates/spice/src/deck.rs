@@ -205,8 +205,8 @@ pub fn dc_sweep_values(card: &DcCard) -> Vec<f64> {
     (0..=n).map(|i| card.start + step * i as f64).collect()
 }
 
-/// Parses and runs a deck with the solver backend taken from the
-/// `UWB_AMS_SOLVER` environment override.
+/// Parses and runs a deck with the solver backend picked from the system
+/// size ([`SolverKind::Auto`]).
 ///
 /// # Errors
 ///
@@ -233,7 +233,7 @@ pub fn dc_sweep_values(card: &DcCard) -> Vec<f64> {
 /// # }
 /// ```
 pub fn run_deck(deck: &str) -> Result<DeckRun, SpiceError> {
-    run_deck_with(deck, SolverKind::from_env())
+    run_deck_with(deck, SolverKind::Auto)
 }
 
 /// [`run_deck`] with an explicit linear-solver backend: DC operating

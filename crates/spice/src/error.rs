@@ -155,6 +155,20 @@ pub enum SpiceError {
     },
 }
 
+impl SpiceError {
+    /// Maps a [`sim_core::SolveError`] raised inside `analysis`.
+    pub(crate) fn from_solve(analysis: &'static str, e: sim_core::SolveError) -> Self {
+        match e {
+            sim_core::SolveError::Singular(e) => SpiceError::Singular {
+                analysis,
+                order: e.order,
+                pivot: e.pivot,
+            },
+            sim_core::SolveError::Numeric(fault) => SpiceError::Numeric { analysis, fault },
+        }
+    }
+}
+
 impl fmt::Display for SpiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -9,6 +9,7 @@ use crate::circuit::{Circuit, Element, NodeId};
 use crate::error::SpiceError;
 use crate::linalg::Matrix;
 use crate::mosfet::eval_mosfet;
+use sim_core::linsolve::LinearSolver;
 use sim_core::sparse::SparseMatrix;
 use std::collections::HashMap;
 
@@ -135,8 +136,9 @@ pub struct AssembleParams<'a> {
 }
 
 /// A real matrix that MNA stamps accumulate into — implemented by the
-/// dense [`Matrix`] and the triplet-logging [`SparseMatrix`], so one
-/// assembly routine serves both solver backends.
+/// dense [`Matrix`], the triplet-logging [`SparseMatrix`] (campaign lanes)
+/// and the analyses' [`LinearSolver`], so one assembly routine serves
+/// every solver backend.
 pub trait Stamp {
     /// Prepares the matrix for a fresh assembly pass (dense: zero out;
     /// sparse: rewind the triplet log).
@@ -168,6 +170,18 @@ impl Stamp for SparseMatrix<f64> {
     }
     fn order(&self) -> usize {
         SparseMatrix::order(self)
+    }
+}
+
+impl Stamp for LinearSolver {
+    fn reset(&mut self) {
+        LinearSolver::reset(self);
+    }
+    fn add(&mut self, row: usize, col: usize, v: f64) {
+        LinearSolver::add(self, row, col, v);
+    }
+    fn order(&self) -> usize {
+        LinearSolver::order(self)
     }
 }
 

@@ -22,13 +22,14 @@
 
 use crate::circuit::Circuit;
 use crate::dcop::{
-    dcop_with, newton_solve, DcSolution, NewtonOptions, NewtonWorkspace, GMIN_FINAL,
+    dcop_impl, newton_solve, DcSolution, NewtonOptions, NewtonWorkspace, GMIN_FINAL,
 };
 use crate::error::SpiceError;
 use crate::mna::{AssembleMode, CompanionModel, MnaLayout};
 use crate::perf::PerfCounters;
 use sim_core::faultinject::{FaultKind, FaultSchedule};
 use sim_core::rescue::{RescueReport, RescueRung};
+use sim_core::sparse::SolverKind;
 
 /// Legacy timestep-halving recursion depth (pre-rescue behaviour).
 pub(crate) const LEGACY_CUT_DEPTH: usize = 4;
@@ -103,12 +104,12 @@ impl RescuePolicy {
     }
 }
 
-/// Newton options for the rescue rungs: the standard controls plus the
+/// Newton options for the rescue rungs: the caller's controls plus the
 /// policy's numeric guard.
-fn rescue_opts(policy: &RescuePolicy) -> NewtonOptions {
+fn rescue_opts(opts: &NewtonOptions, policy: &RescuePolicy) -> NewtonOptions {
     NewtonOptions {
         numeric_guard: policy.enabled && policy.numeric_guards,
-        ..Default::default()
+        ..*opts
     }
 }
 
@@ -268,6 +269,7 @@ fn pseudo_transient_ramp(
 pub fn dcop_rescue_injected(
     circuit: &Circuit,
     externals: &[f64],
+    opts: &NewtonOptions,
     policy: &RescuePolicy,
     mut faults: Option<&mut FaultSchedule>,
 ) -> Result<(DcSolution, RescueReport), SpiceError> {
@@ -279,14 +281,15 @@ pub fn dcop_rescue_injected(
     };
     let mut report = RescueReport::new();
 
-    // Stage 0: the standard homotopy (bit-identical to the legacy path).
+    // Stage 0: the standard homotopy (bit-identical to the legacy path)
+    // under the caller's options, backend included.
     let base_err = if injected(0) {
         SpiceError::DcopDiverged {
             iterations: 0,
             delta: f64::INFINITY,
         }
     } else {
-        match dcop_with(circuit, externals) {
+        match dcop_impl(circuit, externals, opts, None) {
             Ok(op) => return Ok((op, report)),
             Err(e) => e,
         }
@@ -296,8 +299,12 @@ pub fn dcop_rescue_injected(
     }
 
     let layout = MnaLayout::new(circuit);
-    let opts = rescue_opts(policy);
-    let mut ws = NewtonWorkspace::new(layout.size());
+    let opts = rescue_opts(opts, policy);
+    // The rungs stay on the dense arm whatever the caller's backend: they
+    // run only where the standard search already failed, where fresh
+    // partial pivoting on every factorization is the most robust choice,
+    // and a rescued operating point keeps the same bits under any backend.
+    let mut ws = NewtonWorkspace::for_circuit(circuit, &layout, SolverKind::Dense);
     let mut counters = PerfCounters::new();
     let rungs: [(bool, RescueRung, u64); 3] = [
         (policy.dc_gmin_ladder, RescueRung::GminStep, 1),
@@ -344,7 +351,8 @@ pub fn dcop_rescue_injected(
 }
 
 /// Operating-point search with the rescue ladder: runs the standard
-/// homotopy first (bit-identical to [`dcop_with`]) and climbs the enabled
+/// homotopy under `opts` first (bit-identical to
+/// [`dcop_with_opts`](crate::dcop::dcop_with_opts)) and climbs the enabled
 /// DC rungs only when it fails. The returned [`RescueReport`] is empty on
 /// a first-try success.
 ///
@@ -352,19 +360,30 @@ pub fn dcop_rescue_injected(
 ///
 /// The standard search's error when every enabled rung fails too (the
 /// ladder never *invents* failures — a disabled policy is exactly
-/// [`dcop_with`]).
+/// [`dcop_with_opts`](crate::dcop::dcop_with_opts)).
 pub fn dcop_rescue(
     circuit: &Circuit,
     externals: &[f64],
+    opts: &NewtonOptions,
     policy: &RescuePolicy,
 ) -> Result<(DcSolution, RescueReport), SpiceError> {
-    dcop_rescue_injected(circuit, externals, policy, None)
+    dcop_rescue_injected(circuit, externals, opts, policy, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::circuit::SourceWave;
+    use crate::dcop::dcop_with;
+
+    /// The DC ladder on `c` under the standard Newton options.
+    fn ladder(
+        c: &Circuit,
+        policy: RescuePolicy,
+        faults: Option<&mut FaultSchedule>,
+    ) -> Result<(DcSolution, RescueReport), SpiceError> {
+        dcop_rescue_injected(c, &[], &NewtonOptions::default(), &policy, faults)
+    }
 
     fn divider() -> (Circuit, crate::circuit::NodeId) {
         let mut c = Circuit::new();
@@ -380,8 +399,10 @@ mod tests {
     fn healthy_circuit_is_bit_identical_under_both_policies() {
         let (c, b) = divider();
         let plain = dcop_with(&c, &[]).unwrap();
-        let (on, rep_on) = dcop_rescue(&c, &[], &RescuePolicy::default()).unwrap();
-        let (off, rep_off) = dcop_rescue(&c, &[], &RescuePolicy::off()).unwrap();
+        let (on, rep_on) =
+            dcop_rescue(&c, &[], &NewtonOptions::default(), &RescuePolicy::default()).unwrap();
+        let (off, rep_off) =
+            dcop_rescue(&c, &[], &NewtonOptions::default(), &RescuePolicy::off()).unwrap();
         assert_eq!(rep_on.attempts(), 0, "no rescue on a healthy circuit");
         assert_eq!(rep_off.attempts(), 0);
         let bits = |s: &DcSolution| s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -394,9 +415,8 @@ mod tests {
     fn injected_base_failure_is_rescued_by_the_gmin_rung() {
         let (c, b) = divider();
         let mut faults = FaultSchedule::new(1).with_fault(0, FaultKind::NewtonDivergence);
-        let (op, report) =
-            dcop_rescue_injected(&c, &[], &RescuePolicy::default(), Some(&mut faults))
-                .expect("ladder rescues the injected failure");
+        let (op, report) = ladder(&c, RescuePolicy::default(), Some(&mut faults))
+            .expect("ladder rescues the injected failure");
         assert!((op.voltage(b) - 1.2).abs() < 1e-6);
         assert!(report.rescued());
         assert_eq!(report.signature(), "gmin-step!");
@@ -411,16 +431,14 @@ mod tests {
         let mut faults = FaultSchedule::new(2)
             .with_fault(0, FaultKind::NewtonDivergence)
             .with_fault(1, FaultKind::NewtonDivergence);
-        let (_, report) =
-            dcop_rescue_injected(&c, &[], &RescuePolicy::default(), Some(&mut faults)).unwrap();
+        let (_, report) = ladder(&c, RescuePolicy::default(), Some(&mut faults)).unwrap();
         assert_eq!(report.signature(), "gmin-step;source-step!");
         // Fail stages 0..=2 → the pseudo-transient rescues.
         let mut faults = FaultSchedule::new(3)
             .with_fault(0, FaultKind::NewtonDivergence)
             .with_fault(1, FaultKind::NewtonDivergence)
             .with_fault(2, FaultKind::NewtonDivergence);
-        let (_, report) =
-            dcop_rescue_injected(&c, &[], &RescuePolicy::default(), Some(&mut faults)).unwrap();
+        let (_, report) = ladder(&c, RescuePolicy::default(), Some(&mut faults)).unwrap();
         assert_eq!(
             report.signature(),
             "gmin-step;source-step;pseudo-transient!"
@@ -431,7 +449,7 @@ mod tests {
     fn disabled_policy_propagates_the_legacy_error() {
         let (c, _) = divider();
         let mut faults = FaultSchedule::new(4).with_fault(0, FaultKind::NewtonDivergence);
-        let err = dcop_rescue_injected(&c, &[], &RescuePolicy::off(), Some(&mut faults))
+        let err = ladder(&c, RescuePolicy::off(), Some(&mut faults))
             .expect_err("off mode must not rescue");
         assert!(matches!(err, SpiceError::DcopDiverged { .. }));
     }
@@ -444,8 +462,8 @@ mod tests {
             .with_fault(1, FaultKind::NewtonDivergence)
             .with_fault(2, FaultKind::NewtonDivergence)
             .with_fault(3, FaultKind::NewtonDivergence);
-        let err = dcop_rescue_injected(&c, &[], &RescuePolicy::default(), Some(&mut faults))
-            .expect_err("every rung failed");
+        let err =
+            ladder(&c, RescuePolicy::default(), Some(&mut faults)).expect_err("every rung failed");
         assert!(matches!(err, SpiceError::DcopDiverged { .. }));
     }
 

@@ -371,20 +371,14 @@ impl TransientSimulator {
         // The per-step Newton inherits the policy's numeric guard; with the
         // policy off this is a no-op and the legacy error taxonomy holds.
         opts.newton.numeric_guard = opts.rescue.enabled && opts.rescue.numeric_guards;
-        let (op, dc_rescue) = if opts.rescue.enabled {
-            dcop_rescue(&circuit, &externals, &opts.rescue)?
-        } else {
-            // Pass only the backend choice into the DC search — its Newton
-            // controls (max_iter 200 vs the transient 60) stay standard.
-            let dc_opts = NewtonOptions {
-                solver: opts.newton.solver,
-                ..NewtonOptions::default()
-            };
-            (
-                crate::dcop::dcop_impl(&circuit, &externals, &dc_opts, None)?,
-                RescueReport::new(),
-            )
+        // Pass only the backend choice into the DC search — its Newton
+        // controls (max_iter 200 vs the transient 60) stay standard. With
+        // the policy off this is exactly the plain operating-point search.
+        let dc_opts = NewtonOptions {
+            solver: opts.newton.solver,
+            ..NewtonOptions::default()
         };
+        let (op, dc_rescue) = dcop_rescue(&circuit, &externals, &dc_opts, &opts.rescue)?;
         let layout = MnaLayout::new(&circuit);
         let caps: Vec<(NodeId, NodeId, f64)> = circuit
             .elements()
@@ -1233,6 +1227,26 @@ mod tests {
             sim.set_external(99, 1.0).is_err(),
             "unallocated slot is a reported error, not a panic"
         );
+    }
+
+    #[test]
+    fn operating_point_runs_on_the_callers_backend() {
+        // With the rescue ladder on (the default policy) the transient's
+        // DC search must run on the caller's backend too, not only the
+        // time steps.
+        let (c, _) = rc_circuit(1e3, 1e-9);
+        let defaults = TranOptions::default();
+        let opts = TranOptions {
+            newton: NewtonOptions {
+                solver: sim_core::sparse::SolverKind::Sparse,
+                ..defaults.newton
+            },
+            rescue: RescuePolicy::default(),
+            ..defaults
+        };
+        let sim = TransientSimulator::new(c, opts).unwrap();
+        let dc = sim.dc_counters();
+        assert!(dc.symbolic_analyses >= 1, "{dc}");
     }
 
     #[test]

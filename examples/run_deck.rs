@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(2);
     };
     let deck = std::fs::read_to_string(path)?;
-    match run_deck_checked_with(&deck, &cfg, path, SolverKind::from_env()) {
+    match run_deck_checked_with(&deck, &cfg, path, SolverKind::Auto) {
         Ok(out) => {
             if json {
                 println!(

@@ -34,8 +34,7 @@ cargo run --release --quiet --example erc_check -- --self-check
 
 echo "== deck corpus (golden decks through ERC + dense/sparse/krylov backends) =="
 cargo run --release --quiet --example run_deck -- --self-check
-UWB_AMS_SOLVER=dense cargo test -q --release --test deck_corpus
-UWB_AMS_SOLVER=sparse cargo test -q --release --test deck_corpus
+cargo test -q --release --test deck_corpus
 
 echo "== structural analysis (DM gate) =="
 cargo test -q --release --test structural
@@ -46,10 +45,8 @@ UWB_AMS_ADAPTIVE=off cargo test -q --release --test deck_corpus
 UWB_AMS_ADAPTIVE=on cargo test -q --release --test deck_corpus
 UWB_AMS_ADAPTIVE=on cargo run --release --quiet --example run_deck -- --self-check
 
-echo "== krylov tier (GMRES+ILU(0) deck parity + corpus on the iterative tier) =="
+echo "== krylov tier (GMRES+ILU(0) deck parity on the iterative tier) =="
 cargo test -q --release --test krylov_parity
-UWB_AMS_SOLVER=krylov cargo test -q --release --test deck_corpus
-UWB_AMS_SOLVER=krylov cargo run --release --quiet --example run_deck -- --self-check
 
 echo "== krylov guard (default auto path stays bit-exact on the direct tiers) =="
 cargo test -q --release --test golden_kernel --test sparse_parity

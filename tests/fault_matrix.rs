@@ -12,8 +12,8 @@ use ams_kernel::scheduler::{MixedSimulator, OdeBlock};
 use ams_kernel::time::SimTime;
 use spice::circuit::{Circuit, SourceWave};
 use spice::{
-    dcop_rescue_injected, waveform_checksum, FaultKind, FaultSchedule, RescuePolicy, TranOptions,
-    TransientSimulator,
+    dcop_rescue_injected, waveform_checksum, FaultKind, FaultSchedule, NewtonOptions, RescuePolicy,
+    TranOptions, TransientSimulator,
 };
 
 /// One measured cell of the matrix.
@@ -73,9 +73,14 @@ fn dc_cell(failed_stages: &[u64]) -> Cell {
     for &s in failed_stages {
         schedule = schedule.with_fault(s, FaultKind::NewtonDivergence);
     }
-    let (sol, report) =
-        dcop_rescue_injected(&c, &[], &RescuePolicy::default(), Some(&mut schedule))
-            .expect("ladder rescues");
+    let (sol, report) = dcop_rescue_injected(
+        &c,
+        &[],
+        &NewtonOptions::default(),
+        &RescuePolicy::default(),
+        Some(&mut schedule),
+    )
+    .expect("ladder rescues");
     let mid = sol.voltage(b);
     Cell {
         signature: report.signature(),

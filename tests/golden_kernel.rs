@@ -9,7 +9,7 @@
 //! Phase III transistor-level co-simulation.
 
 use num_complex::Complex64;
-use spice::linalg::{CMatrix, LuFactors, Matrix};
+use spice::linalg::{DMatrix, LuFactors, Matrix};
 use uwb_txrx::integrator::IntegratorBlock;
 
 /// The seeded 7×7 diagonally-dominant system the pre-refactor spice linalg
@@ -151,26 +151,33 @@ fn shared_lu_reproduces_pre_refactor_ams_solve() {
 
 #[test]
 fn shared_lu_reproduces_pre_refactor_complex_solve() {
-    let mut cm = CMatrix::zeros(3);
+    let mut cm = DMatrix::square(3);
     let mut k = 0.5f64;
     for r in 0..3 {
         for c in 0..3 {
             k += 0.37;
             cm.add(r, c, Complex64::new(k.sin(), k.cos() * 0.3));
         }
-        cm.add_re(r, r, 3.0);
+        cm.add(r, r, Complex64::new(3.0, 0.0));
     }
-    let mut cb = vec![
+    let cb = vec![
         Complex64::new(1.0, -0.5),
         Complex64::new(0.25, 2.0),
         Complex64::new(-1.5, 0.75),
     ];
-    cm.solve_in_place(&mut cb).expect("well-conditioned system");
-    let got: Vec<(u64, u64)> = cb
-        .iter()
-        .map(|z| (z.re.to_bits(), z.im.to_bits()))
-        .collect();
-    assert_eq!(got, GOLDEN_CPLX);
+    let bits = |x: &[Complex64]| -> Vec<(u64, u64)> {
+        x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    // The cached complex factors the AC dense arm solves with...
+    let mut lu = LuFactors::new(3);
+    lu.factorize(&cm).expect("well-conditioned system");
+    let mut x = cb.clone();
+    lu.solve(&mut x);
+    assert_eq!(bits(&x), GOLDEN_CPLX);
+    // ...and the destructive elimination, on the same bits.
+    let mut x = cb;
+    cm.solve_in_place(&mut x).expect("well-conditioned system");
+    assert_eq!(bits(&x), GOLDEN_CPLX);
 }
 
 #[test]
